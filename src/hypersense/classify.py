@@ -64,6 +64,25 @@ class CandidateSignature:
         lo, hi = self.expected_bw_hz
         if lo > hi:
             raise ParameterError(f"{self.label}: expected_bw_hz min {lo} > max {hi}")
+        if self.preferred_method:
+            require_method(self.preferred_method)
+
+    def cyclic_lines(self) -> list[tuple[str, float, float]]:
+        """The cyclic lines the signature predicts, as ``(kind, alpha_hz, tol_hz)``.
+
+        The features (kind ``"cyclic"``), then ``j * carrier_spacing_hz`` for
+        ``0 < j < max_carriers`` (kind ``"carrier_spacing"``), each with the
+        largest feature tolerance or, without features, 1% of the spacing.
+        """
+        lines = [("cyclic", f.freq_hz, f.tolerance_hz) for f in self.cyclic_features_hz]
+        if self.carrier_spacing_hz > 0.0:
+            tol = max((f.tolerance_hz for f in self.cyclic_features_hz), default=0.0)
+            tol = tol or 0.01 * self.carrier_spacing_hz
+            lines += [
+                ("carrier_spacing", j * self.carrier_spacing_hz, tol)
+                for j in range(1, self.max_carriers)
+            ]
+        return lines
 
 
 @dataclass
@@ -107,6 +126,12 @@ class IdentificationVerdict:
 # -- plan loading ------------------------------------------------------------
 
 def plan_from_dict(data: dict) -> ChannelPlan:
+    """Build and validate a plan.
+
+    Raises ``ParameterError`` for a malformed plan and
+    ``UnsupportedMethodError`` for a ``preferred_method`` with no algorithm
+    behind it, so either is reported before any recording is processed.
+    """
     try:
         entries = []
         for e in data.get("entries", []):
@@ -193,8 +218,8 @@ def scb_match(component: DetectedComponent, plan: ChannelPlan) -> list[Candidate
 def ssmsb_select(candidate: CandidateSignature) -> str:
     """Pick the sensing method a candidate's signature calls for.
 
-    An explicit ``preferred_method`` wins (and must name an implemented
-    registry row).  Otherwise: cyclic features select the cyclic scan,
+    An explicit ``preferred_method`` wins (checked against the registry when
+    the plan is loaded).  Otherwise: cyclic features select the cyclic scan,
     a preamble template the matched filter, a repeated-tail (CP/midamble)
     feature the autocorrelation detector, a spectral template the
     template matcher, and a bare signature falls back to energy detection.
@@ -222,20 +247,11 @@ def _peak_alpha(peak) -> float:
 
 def _match_cyclic(candidate: CandidateSignature, ev: Evidence) -> list[MatchedFeature]:
     matches = []
-    for feat in candidate.cyclic_features_hz:
-        hits = [p for p in ev.peaks if abs(_peak_alpha(p) - feat.freq_hz) <= feat.tolerance_hz]
+    for kind, alpha, tol in candidate.cyclic_lines():
+        hits = [p for p in ev.peaks if abs(_peak_alpha(p) - alpha) <= tol]
         if hits:
             best = max(hits, key=lambda p: p.peak_value_db)
-            matches.append(MatchedFeature("cyclic", feat.freq_hz, _peak_alpha(best)))
-    if candidate.carrier_spacing_hz > 0.0 and candidate.max_carriers > 1:
-        tol = max((f.tolerance_hz for f in candidate.cyclic_features_hz), default=0.0)
-        tol = tol or 0.01 * candidate.carrier_spacing_hz
-        for j in range(1, candidate.max_carriers):
-            target = j * candidate.carrier_spacing_hz
-            hits = [p for p in ev.peaks if abs(_peak_alpha(p) - target) <= tol]
-            if hits:
-                best = max(hits, key=lambda p: p.peak_value_db)
-                matches.append(MatchedFeature("carrier_spacing", target, _peak_alpha(best)))
+            matches.append(MatchedFeature(kind, alpha, _peak_alpha(best)))
     return matches
 
 

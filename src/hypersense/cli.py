@@ -7,8 +7,8 @@ the noise-floor detector alone over a CSV of values).
 
 Exit codes: 0 success; 2 unusable configuration or arguments (messages
 are line-anchored for config parse errors); 3 IQ data/sidecar mismatch;
-4 a plan selected a sensing method that exists in the registry only as
-metadata.
+4 a plan names a sensing method that is unknown or exists in the registry
+only as metadata (checked when the plan is loaded, before any work).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, evaluation, pipeline, wavegen
-from .dsp import power_envelope, welch_psd
+from . import classify, evaluation, pipeline, sensing, wavegen
+from .dsp import power_envelope
 from .errors import IqFormatError, ParameterError, UnsupportedMethodError
 from .iqio import read_iq, write_iq
 from .noisefloor import NoiseFloorParams, detect
@@ -120,32 +120,25 @@ def cmd_identify(args: argparse.Namespace) -> int:
     plan_dict = _load_json(plan_path, "channel plan")
     try:
         plan = classify.plan_from_dict(plan_dict)
+    except UnsupportedMethodError as e:
+        return _fail(EXIT_UNSUPPORTED_METHOD, str(e))
     except ParameterError as e:
         return _fail(EXIT_CONFIG, str(e))
     cfg = _pipeline_config(args)
 
-    try:
-        report = pipeline.run_identification(rec, cfg, plan)
-    except UnsupportedMethodError as e:
-        return _fail(EXIT_UNSUPPORTED_METHOD, str(e))
-    # a per-component unsupported-method error is isolated in the report;
-    # surface it as the documented exit code all the same
-    for result in report.results:
-        if result.error and result.error.startswith("UnsupportedMethodError"):
-            return _fail(EXIT_UNSUPPORTED_METHOD, result.error)
-
+    report = pipeline.run_identification(rec, cfg, plan)
     text = pipeline.serialize_report(report, include_timing=args.timing)
     out = Path(args.out) if args.out else Path(str(args.iq_path) + ".report.json")
     out.write_text(text)
 
     if args.emit_psd:
-        psd = welch_psd(rec, cfg.fft_size, cfg.window, cfg.overlap)
+        psd = report.psd
         _write_xy_csv(args.emit_psd, rec.center_freq_hz + psd.freqs_hz, psd.values_db)
     if args.emit_envelope:
         env_db, (t0, dt) = power_envelope(rec, cfg.envelope_smooth_len)
         _write_xy_csv(args.emit_envelope, t0 + dt * np.arange(env_db.size), env_db)
     if args.emit_cyclic:
-        profile = _first_cyclic_profile(rec, report, cfg, plan)
+        profile = _verdict_cyclic_profile(report)
         if profile is None:
             Path(args.emit_cyclic).write_text("")
         else:
@@ -154,26 +147,16 @@ def cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _first_cyclic_profile(rec, report, cfg, plan):
-    """Recompute the first component's cyclic scan for plot export."""
-    from . import sensing
-    from .dsp import channelize
-
+def _verdict_cyclic_profile(report: pipeline.IdentificationReport):
+    """The scan behind the first cyclic verdict: the widened one if rescanned."""
     for result in report.results:
-        if result.verdict is None or not result.verdict.candidates_ranked:
-            continue
-        cands = classify.scb_match(result.component, plan)
-        if not cands or classify.ssmsb_select(cands[0]) != sensing.METHOD_CYCLO:
-            continue
-        ch = (
-            channelize(rec, result.component, cfg.guard_factor, cfg.stop_atten_db, cfg.decimate)
-            if cfg.channelize_enabled
-            else rec
-        )
-        windows = pipeline._cyclic_windows(cands[0], ch.sample_rate_hz, cfg.cyclic_step_hz)
-        grid = pipeline._grid_from_windows(windows, cfg.cyclic_step_hz)
-        n = len(ch.samples)
-        return sensing.scan_cyclic(ch, grid, (0, min(cfg.tau_max, n // 4)))
+        scans = [
+            ev.extras["profile"]
+            for ev in (result.verdict.evidence if result.verdict else [])
+            if ev.method == sensing.METHOD_CYCLO
+        ]
+        if scans:
+            return scans[-1]
     return None
 
 
@@ -282,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", action="store_true", help="process components in parallel")
     p.add_argument("--timing", action="store_true", help="include timing (report no longer byte-stable)")
     p.add_argument("--emit-psd", default=None, metavar="CSV", help="write spectrum plot data")
-    p.add_argument("--emit-cyclic", default=None, metavar="CSV", help="write first cyclic profile")
+    p.add_argument("--emit-cyclic", default=None, metavar="CSV",
+                   help="write the cyclic scan behind the first cyclic verdict")
     p.add_argument("--emit-envelope", default=None, metavar="CSV", help="write power envelope")
     p.set_defaults(func=cmd_identify)
 
@@ -318,3 +302,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -45,17 +45,6 @@ class PowerSpectrum:
         return (self.freq_start_hz, self.freq_step_hz)
 
 
-@dataclass
-class FirFilter:
-    """Linear-phase FIR with its design parameters."""
-
-    taps: np.ndarray
-    fc_hz: float
-    bw_hz: float
-    transition_hz: float
-    stop_atten_db: float
-
-
 def _window(kind: str, n: int) -> np.ndarray:
     if kind == "hann":
         return np.hanning(n)
@@ -104,66 +93,35 @@ def welch_psd(
     )
 
 
-def design_bandpass(
-    fc_hz: float,
+def design_lowpass(
     bw_hz: float,
     fs_hz: float,
     transition_hz: float,
     stop_atten_db: float = 60.0,
-) -> FirFilter:
-    """Kaiser-windowed linear-phase FIR passing [fc - bw/2, fc + bw/2].
+) -> np.ndarray:
+    """Taps of a Kaiser-windowed linear-phase FIR passing [-bw/2, bw/2].
 
-    The taps are real, so for complex baseband input the response is
-    mirrored about DC; channelization mixes the band of interest to DC
-    first and then uses the lowpass case.  A passband covering the whole
-    representable band degenerates to an identity filter.
+    The taps are real and of odd length (type I, symmetric).  A passband
+    covering the whole representable band degenerates to the identity
+    filter ``[1.0]``.
     """
     if bw_hz <= 0:
         raise ParameterError(f"bandwidth must be positive, got {bw_hz}")
+    if bw_hz > fs_hz:
+        raise ParameterError(
+            f"bandwidth {bw_hz:g} Hz does not fit inside (+-{fs_hz / 2.0:g}) Hz"
+        )
+    if bw_hz >= fs_hz * (1.0 - 2e-9):
+        return np.array([1.0])
     if transition_hz <= 0:
         raise ParameterError(f"transition width must be positive, got {transition_hz}")
     nyq = fs_hz / 2.0
-    lo = fc_hz - bw_hz / 2.0
-    hi = fc_hz + bw_hz / 2.0
-    if hi > nyq or lo < -nyq:
-        raise ParameterError(
-            f"band [{lo:g}, {hi:g}] Hz does not fit inside (+-{nyq:g}) Hz"
-        )
-    if lo <= -nyq + 1e-9 * fs_hz and hi >= nyq - 1e-9 * fs_hz:
-        return FirFilter(
-            taps=np.array([1.0]),
-            fc_hz=fc_hz,
-            bw_hz=bw_hz,
-            transition_hz=transition_hz,
-            stop_atten_db=stop_atten_db,
-        )
-    if hi + transition_hz >= nyq or lo - transition_hz <= -nyq:
+    if bw_hz / 2.0 + transition_hz >= nyq:
         raise ParameterError("transition band does not fit inside the Nyquist band")
 
     numtaps, beta = sig.kaiserord(stop_atten_db, transition_hz / nyq)
     numtaps |= 1  # force odd length (type I, symmetric)
-    abs_lo, abs_hi = abs(fc_hz) - bw_hz / 2.0, abs(fc_hz) + bw_hz / 2.0
-    if abs_lo <= 0.0:
-        cutoff: float | list[float] = abs_hi
-        pass_zero = True
-    else:
-        cutoff = [abs_lo, abs_hi]
-        pass_zero = False
-    taps = sig.firwin(numtaps, cutoff, window=("kaiser", beta), fs=fs_hz, pass_zero=pass_zero)
-    return FirFilter(
-        taps=taps,
-        fc_hz=fc_hz,
-        bw_hz=bw_hz,
-        transition_hz=transition_hz,
-        stop_atten_db=stop_atten_db,
-    )
-
-
-def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Filter with group-delay compensation (centered convolution)."""
-    if taps.size == 1:
-        return x * taps[0]
-    return sig.fftconvolve(x, taps, mode="same")
+    return sig.firwin(numtaps, bw_hz / 2.0, window=("kaiser", beta), fs=fs_hz)
 
 
 def channelize(
@@ -195,12 +153,10 @@ def channelize(
         n = np.arange(x.size)
         x = x * np.exp(-2j * np.pi * offset / fs * n)
 
-    if bw >= fs * (1.0 - 1e-9):
-        filt = FirFilter(np.array([1.0]), 0.0, bw, 0.0, stop_atten_db)
-    else:
-        transition = min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9)
-        filt = design_bandpass(0.0, bw, fs, transition, stop_atten_db)
-    y = apply_fir(x, filt.taps)
+    transition = min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9)
+    taps = design_lowpass(bw, fs, transition, stop_atten_db)
+    # centered convolution compensates the group delay
+    y = x * taps[0] if taps.size == 1 else sig.fftconvolve(x, taps, mode="same")
 
     factor = 1
     if decimate:

@@ -65,8 +65,6 @@ class NoiseFloorEstimate:
     mean_count: float
     all_tied: bool             # every level equally occupied; threshold is suspect
     sample_count: int
-    y_min: float
-    y_max: float
     level_width: float
 
     @property
@@ -165,8 +163,6 @@ def cusum_change_point(hist: LevelHistogram) -> NoiseFloorEstimate:
         mean_count=mean_count,
         all_tied=all_tied,
         sample_count=hist.sample_count,
-        y_min=hist.y_min,
-        y_max=hist.y_max,
         level_width=hist.level_width,
     )
 

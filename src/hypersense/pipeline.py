@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import classify, sensing
-from .dsp import channelize, power_envelope, welch_psd
+from .dsp import PowerSpectrum, channelize, power_envelope, welch_psd
 from .errors import DegenerateSpectrumError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
@@ -106,6 +106,7 @@ class IdentificationReport:
     results: list[ComponentResult]
     flags: list[str]
     timing_s: dict
+    psd: PowerSpectrum  # the wideband spectrum the floor was detected on; not serialized
 
 
 def detect_bursts(
@@ -151,19 +152,9 @@ def _cyclic_windows(
     enough that the modulation continuum stays flat across it; overlapping
     windows are merged.
     """
-    targets: list[tuple[float, float]] = [
-        (f.freq_hz, f.tolerance_hz) for f in candidate.cyclic_features_hz
-    ]
-    if candidate.carrier_spacing_hz > 0.0:
-        tol = max((f.tolerance_hz for f in candidate.cyclic_features_hz), default=0.0)
-        tol = tol or 0.01 * candidate.carrier_spacing_hz
-        targets += [
-            (j * candidate.carrier_spacing_hz, tol)
-            for j in range(1, candidate.max_carriers)
-        ]
     alpha_cap = fs / 2.0 - step
     windows = []
-    for target, tol in targets:
+    for _, target, tol in candidate.cyclic_lines():
         if target > alpha_cap:
             continue
         radius = widen * max(10.0 * tol, 0.1 * target, 12.0 * step)
@@ -256,9 +247,7 @@ def _process_component(
         if top is not None and top.cyclic_features_hz:
             # a cyclic line at alpha correlates spectral content alpha apart;
             # keep enough passband around the component for those pairs
-            alpha_max = max(f.freq_hz for f in top.cyclic_features_hz)
-            if top.carrier_spacing_hz > 0.0:
-                alpha_max = max(alpha_max, (top.max_carriers - 1) * top.carrier_spacing_hz)
+            alpha_max = max(alpha for _, alpha, _ in top.cyclic_lines())
             guard = max(guard, 1.6 * alpha_max / max(component.width, 1.0))
         if config.channelize_enabled:
             channelized = channelize(
@@ -294,45 +283,26 @@ def _process_component(
             bursts, burst_flags = detect_bursts(channelized, config)
             timing["burst_detection"] = time.perf_counter() - t0
 
-        verdict = None
-        if top is not None:
-            method = classify.ssmsb_select(top)
-            t0 = time.perf_counter()
-            evidences.append(
-                _run_method(
-                    method, top, channelized, psd, noise_var, config,
-                    widened=False, passband_hz=passband_hz,
+        method = classify.ssmsb_select(top) if top is not None else None
+        for widened in (False, True):
+            if top is not None:
+                t0 = time.perf_counter()
+                evidences.append(
+                    _run_method(
+                        method, top, channelized, psd, noise_var, config,
+                        widened=widened, passband_hz=passband_hz,
+                    )
                 )
-            )
-            timing["sensing"] = time.perf_counter() - t0
+                timing["rescan" if widened else "sensing"] = time.perf_counter() - t0
             if estimate.all_tied:
                 for ev in evidences:
                     if "nfspem_tied" not in ev.flags:
                         ev.flags.append("nfspem_tied")
             verdict = classify.decide(top, evidences, component, labels)
-            if (
-                verdict.verdict != classify.VERDICT_IDENTIFIED
-                and method == sensing.METHOD_CYCLO
-            ):
-                # one widened rescan before settling on a downgrade
-                t0 = time.perf_counter()
-                evidences.append(
-                    _run_method(
-                        method, top, channelized, psd, noise_var, config,
-                        widened=True, passband_hz=passband_hz,
-                    )
-                )
-                timing["rescan"] = time.perf_counter() - t0
-                if estimate.all_tied and "nfspem_tied" not in evidences[-1].flags:
-                    evidences[-1].flags.append("nfspem_tied")
-                verdict = classify.decide(top, evidences, component, labels)
+            if widened:
                 verdict.extras["rescanned"] = True
-        else:
-            if estimate.all_tied:
-                for ev in evidences:
-                    if "nfspem_tied" not in ev.flags:
-                        ev.flags.append("nfspem_tied")
-            verdict = classify.decide(None, evidences, component, labels)
+            elif verdict.verdict == classify.VERDICT_IDENTIFIED or method != sensing.METHOD_CYCLO:
+                break  # only a cyclic downgrade earns one widened rescan
 
         timing["total"] = time.perf_counter() - t_start
         return ComponentResult(component, verdict, bursts, burst_flags, None, timing)
@@ -390,6 +360,7 @@ def run_identification(
         results=results,
         flags=flags,
         timing_s=timing,
+        psd=psd,
     )
 
 

@@ -21,6 +21,7 @@ from scipy.stats import norm
 
 from .dsp import EPS_POWER, PowerSpectrum, db10
 from .errors import (
+    DegenerateSpectrumError,
     EmptyInputError,
     InsufficientDataError,
     ParameterError,
@@ -237,7 +238,8 @@ def cyclic_evidence(
     meaningless.  ``windows`` (cyclic-frequency intervals) run the floor
     detector per interval, where the local floor is flat; peaks must clear
     their local threshold by ``PEAK_MARGIN_DB``.  Without windows the whole
-    grid is one interval.
+    grid is one interval; a constant window has no level structure and is
+    skipped.  The scanned profile is kept in ``extras["profile"]``.
     """
     params = params or NoiseFloorParams(min_width_bins=1, merge_gap_bins=0)
     grid = profile.alpha_grid
@@ -257,7 +259,7 @@ def cyclic_evidence(
         values = profile.magnitude_db[sel]
         try:
             estimate, comps = detect(values, (float(grid[sel[0]]), step), params)
-        except Exception:
+        except DegenerateSpectrumError:  # a constant window has no peaks
             continue
         if estimate.all_tied and "nfspem_tied" not in flags:
             flags.append("nfspem_tied")
@@ -284,7 +286,7 @@ def cyclic_evidence(
         threshold=float(best_thr),
         detected=bool(strong),
         flags=flags,
-        extras={"all_peaks": all_peaks},
+        extras={"all_peaks": all_peaks, "profile": profile},
     )
 
 
@@ -430,7 +432,7 @@ def matched_filter_detect(
             peak_idx = s + int(np.argmax(seg))
             peaks.append(
                 DetectedComponent(
-                    start_index=int(peak_idx),
+                    start_index=int(s),
                     end_index=int(e),
                     center=peak_idx * dt,
                     width=(e - s + 1) * dt,

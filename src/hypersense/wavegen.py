@@ -470,13 +470,3 @@ def truth_to_dict(truth: GroundTruth) -> dict:
         "feature_table": [[float(f) for f in ch] for ch in truth.feature_table],
     }
 
-
-def truth_from_dict(data: dict) -> GroundTruth:
-    return GroundTruth(
-        fft_size=int(data["fft_size"]),
-        occupancy_mask=np.asarray(data["occupancy_mask"], dtype=bool),
-        burst_intervals=[
-            [(int(s), int(l)) for s, l in ch] for ch in data["burst_intervals"]
-        ],
-        feature_table=[list(map(float, ch)) for ch in data["feature_table"]],
-    )

@@ -1,11 +1,16 @@
 """Command-line interface tests: file formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypersense import cli
+from hypersense import cli, pipeline, sensing
+from hypersense.classify import plan_from_dict
 from hypersense.iqio import read_iq
 
 
@@ -69,6 +74,19 @@ class TestSimulate:
         bad["channels"][0]["kind"] = "martian"
         path.write_text(json.dumps(bad))
         assert cli.main(["simulate", str(path), "-o", str(tmp_path / "x")]) == 2
+
+    def test_run_as_module(self, tmp_path, scenario_file):
+        out = tmp_path / "x.cf32"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypersense.cli", "simulate", str(scenario_file), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.is_file()
+        assert len(read_iq(out).samples) == 40000
 
     def test_seed_override(self, tmp_path, scenario_file):
         a, b, c = (tmp_path / n for n in ("a.cf32", "b.cf32", "c.cf32"))
@@ -134,6 +152,22 @@ class TestIdentify:
         assert code == 4
         assert "Wavelet" in capsys.readouterr().err
 
+    def test_unsupported_method_rejected_with_the_plan(self, tmp_path, recording_file):
+        # the candidate fits no component, so no component would ever select it
+        plan = {
+            "name": "bad", "entries": [{
+                "name": "ISM", "band_hz": [2.4e9, 2.4835e9],
+                "candidates": [{"label": "w", "expected_bw_hz": [20e6, 30e6],
+                                "preferred_method": "Wavelet"}],
+            }],
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        out = tmp_path / "r.json"
+        code = cli.main(["identify", str(recording_file), "--plan", str(path), "-o", str(out)])
+        assert code == 4
+        assert not out.exists()
+
     def test_emit_plot_data_row_counts(self, tmp_path, recording_file, plan_file):
         psd_csv = tmp_path / "psd.csv"
         env_csv = tmp_path / "env.csv"
@@ -169,6 +203,19 @@ class TestIdentify:
         rows = cyc_csv.read_text().splitlines()
         assert len(rows) > 10  # one row per scanned grid point
         float(rows[0].split(",")[0])
+        # the 0.5 MHz line widens the channelizer guard, and this noise block
+        # has no such line, so the verdict follows the widened rescan; the
+        # export is that scan, not one redone at the default guard
+        report = pipeline.run_identification(
+            read_iq(recording_file), pipeline.PipelineConfig(), plan_from_dict(plan))
+        first = next(r for r in report.results if r.verdict and any(
+            ev.method == sensing.METHOD_CYCLO for ev in r.verdict.evidence))
+        assert first.verdict.extras["rescanned"]
+        scan = [ev for ev in first.verdict.evidence
+                if ev.method == sensing.METHOD_CYCLO][-1].extras["profile"]
+        exported = np.loadtxt(cyc_csv, delimiter=",", ndmin=2)
+        assert np.array_equal(exported[:, 0], scan.alpha_grid)
+        assert np.array_equal(exported[:, 1], scan.magnitude_db)
 
     def test_plan_env_var_default(self, tmp_path, recording_file, plan_file, monkeypatch):
         monkeypatch.setenv(cli.PLAN_ENV_VAR, str(plan_file))

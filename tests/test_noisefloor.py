@@ -158,8 +158,7 @@ class TestExtractComponents:
         return nf.NoiseFloorEstimate(
             change_level=1, threshold_db=threshold,
             cusum=np.zeros(2), mean_count=0.0, all_tied=False,
-            sample_count=len(samples), y_min=float(np.min(samples)),
-            y_max=float(np.max(samples)), level_width=1.0,
+            sample_count=len(samples), level_width=1.0,
         )
 
     def test_nothing_above_threshold(self):

@@ -128,6 +128,28 @@ class TestScanCyclic:
         )
 
 
+class TestCyclicEvidence:
+    def _profile(self, values):
+        grid = 1e3 * np.arange(len(values), dtype=float)
+        return sensing.CyclicProfile(grid, np.asarray(values, dtype=float), (0, 8))
+
+    def test_constant_window_skipped(self):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([np.zeros(20), rng.normal(0.0, 0.5, 40)])
+        values[45] = 20.0
+        profile = self._profile(values)
+        ev = sensing.cyclic_evidence(profile, windows=[(0.0, 19e3), (20e3, 59e3)])
+        assert ev.detected
+        assert [pk.peak_index for pk in ev.peaks] == [45]
+        assert ev.extras["profile"] is profile
+
+    def test_nan_profile_raises(self):
+        values = np.random.default_rng(5).normal(0.0, 0.5, 40)
+        values[10] = np.nan
+        with pytest.raises(ParameterError):
+            sensing.cyclic_evidence(self._profile(values))
+
+
 class TestCpAutocorrDetect:
     def _ofdm_rec(self, seed, snr_db=0.0, n_sym=1000):
         fs = 1e6
@@ -203,6 +225,11 @@ class TestMatchedFilter:
         ev1 = sensing.matched_filter_detect(rec(x), template)
         ev2 = sensing.matched_filter_detect(rec(17.0 * x), template)
         assert ev1.extras["peak_index"] == ev2.extras["peak_index"]
+        # a peak's index span is its whole above-threshold run
+        assert any(pk.end_index > pk.start_index for pk in ev1.peaks)
+        for pk in ev1.peaks:
+            assert pk.width == pytest.approx((pk.end_index - pk.start_index + 1) / 1e6)
+            assert pk.start_index <= round(pk.center * 1e6) <= pk.end_index
 
     def test_empty_template(self):
         with pytest.raises(ParameterError):

@@ -97,7 +97,7 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
             raise SystemExit(_fail(EXIT_CONFIG, str(e)))
     else:
         cfg = pipeline.PipelineConfig()
-    if args.fft_size:
+    if args.fft_size is not None:
         cfg.fft_size = args.fft_size
     if args.k is not None:
         cfg.floor_k = args.k
@@ -105,6 +105,10 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         cfg.channelize_enabled = False
     if getattr(args, "parallel", False):
         cfg.parallel = True
+    try:
+        cfg.validate()
+    except ParameterError as e:
+        raise SystemExit(_fail(EXIT_CONFIG, str(e)))
     return cfg
 
 

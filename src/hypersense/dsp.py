@@ -18,7 +18,7 @@ from .noisefloor import DetectedComponent
 
 EPS_POWER = 1e-30
 
-_WINDOWS = ("hann", "hamming", "rect")
+WINDOWS = ("hann", "hamming", "rect")
 
 
 def db10(p: np.ndarray | float) -> np.ndarray | float:
@@ -52,7 +52,7 @@ def _window(kind: str, n: int) -> np.ndarray:
         return np.hamming(n)
     if kind == "rect":
         return np.ones(n)
-    raise ParameterError(f"unknown window {kind!r}, expected one of {_WINDOWS}")
+    raise ParameterError(f"unknown window {kind!r}, expected one of {WINDOWS}")
 
 
 def welch_psd(

@@ -8,6 +8,7 @@ and the sample count; the count must match the data file size exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +57,12 @@ def write_iq(rec: IqRecording, data_path: str | Path) -> Path:
 
 
 def read_iq(data_path: str | Path) -> IqRecording:
-    """Read a cf32le data file, validating it against its sidecar."""
+    """Read a cf32le data file, validating it against its sidecar.
+
+    Raises IqFormatError for a sidecar that disagrees with the data file,
+    a sample count that is not an integer, a sample rate that is not a
+    finite positive number, or a non-finite sample.
+    """
     data_path = Path(data_path)
     side = sidecar_path(data_path)
     if not data_path.exists():
@@ -75,7 +81,12 @@ def read_iq(data_path: str | Path) -> IqRecording:
         raise IqFormatError(
             f"{side}: unsupported sample_format {header['sample_format']!r}"
         )
-    count = int(header["sample_count"])
+    count, rate = header["sample_count"], header["sample_rate_hz"]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise IqFormatError(f"{side}: sample_count must be an integer >= 0, got {count!r}")
+    if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+            or not (math.isfinite(rate) and rate > 0)):
+        raise IqFormatError(f"{side}: sample_rate_hz must be a finite number > 0, got {rate!r}")
     actual = data_path.stat().st_size
     if count * BYTES_PER_SAMPLE != actual:
         raise IqFormatError(
@@ -83,9 +94,12 @@ def read_iq(data_path: str | Path) -> IqRecording:
             f"({count * BYTES_PER_SAMPLE} bytes) but file has {actual} bytes"
         )
     samples = np.fromfile(data_path, dtype="<c8").astype(np.complex128)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise IqFormatError(f"{data_path}: sample {int(np.argmin(finite))} is not finite")
     return IqRecording(
         samples=samples,
-        sample_rate_hz=float(header["sample_rate_hz"]),
+        sample_rate_hz=float(rate),
         center_freq_hz=float(header.get("center_freq_hz", 0.0)),
         description=header.get("description", ""),
     )

@@ -11,15 +11,17 @@ serialization unless asked for).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import classify, sensing
-from .dsp import PowerSpectrum, channelize, power_envelope, welch_psd
+from .dsp import WINDOWS, PowerSpectrum, channelize, power_envelope, welch_psd
 from .errors import DegenerateSpectrumError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
@@ -71,14 +73,63 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ParameterError("pipeline config must be a JSON object")
         cfg = cls()
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ParameterError(f"unknown pipeline config field {key!r}")
             setattr(cfg, key, value)
-        if cfg.burst_detection not in ("auto", "on", "off"):
-            raise ParameterError(f"bad burst_detection {cfg.burst_detection!r}")
+        cfg.validate()
         return cfg
+
+    def validate(self) -> None:
+        """Raise ParameterError for the first field of the wrong type or range.
+
+        Types follow the field annotations: a bool is not accepted as a
+        number, an int is accepted where a float is declared, and numbers
+        must be finite.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(value, bool)
+            elif f.type == "str":
+                ok = isinstance(value, str)
+            else:
+                kind = numbers.Integral if f.type == "int" else numbers.Real
+                ok = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+            if not ok:
+                what = {"bool": "a bool", "str": "a string", "int": "a finite integer",
+                        "float": "a finite number"}[f.type]
+                raise ParameterError(f"pipeline config field {f.name!r} must be {what}, got {value!r}")
+        ranges = (
+            ("fft_size", self.fft_size >= 8 and not self.fft_size & (self.fft_size - 1),
+             "a power of two >= 8"),
+            ("window", self.window in WINDOWS, f"one of {WINDOWS}"),
+            ("overlap", 0.0 <= self.overlap < 1.0, "in [0, 1)"),
+            ("floor_k", 0.0 < self.floor_k <= 1.0, "in (0, 1]"),
+            ("floor_min_width_bins", self.floor_min_width_bins >= 1, ">= 1"),
+            ("floor_merge_gap_bins", self.floor_merge_gap_bins >= 0, ">= 0"),
+            ("guard_factor", self.guard_factor > 0.0, "> 0"),
+            # the Kaiser window formula has no design below 8 dB
+            ("stop_atten_db", self.stop_atten_db >= 8.0, ">= 8"),
+            ("burst_detection", self.burst_detection in ("auto", "on", "off"),
+             "one of auto, on, off"),
+            ("envelope_smooth_len", self.envelope_smooth_len >= 1, ">= 1"),
+            ("cyclic_step_hz", self.cyclic_step_hz > 0.0, "> 0"),
+            ("tau_max", self.tau_max >= 0, ">= 0"),
+            ("peak_k", 0.0 < self.peak_k <= 1.0, "in (0, 1]"),
+            ("energy_pfa", 0.0 < self.energy_pfa < 0.5, "in (0, 0.5)"),
+            ("mf_pfa", 0.0 < self.mf_pfa < 0.5, "in (0, 0.5)"),
+            # a Pearson correlation score
+            ("template_min_score", -1.0 <= self.template_min_score <= 1.0, "in [-1, 1]"),
+        )
+        for name, ok, domain in ranges:
+            if not ok:
+                raise ParameterError(
+                    f"pipeline config field {name!r} must be {domain}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass

@@ -12,6 +12,8 @@ floor detector, so the detection behavior is uniform across axes.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,7 +181,9 @@ def scan_cyclic(
 
     Each grid point reports the strongest line magnitude (max over lags,
     in dB) within its half-step cell, so features between grid points are
-    not lost; the underlying resolution is fs / len(recording).
+    not lost; the underlying resolution is fs / len(recording).  The lags
+    are spread over every core the process may run on; the profile does
+    not depend on how many there are.
     """
     x = np.asarray(iq.samples)
     if x.size == 0:
@@ -211,19 +215,54 @@ def scan_cyclic(
     idx[1::2] = ends
     idx = np.maximum.accumulate(idx)
 
-    best = np.full(alphas.size, 0.0)
-    buf = np.zeros(L, dtype=np.complex128)
-    for tau in range(lo, hi + 1):
-        buf[:] = 0.0
-        buf[: T - tau] = x[: T - tau] * np.conj(x[tau:])
-        mag = np.abs(sfft.fft(buf)) / T
-        cellmax = np.maximum.reduceat(mag, idx)[0::2]
-        np.maximum(best, cellmax, out=best)
+    # only bins idx[0]..idx[-1] fall in a cell; reduce them from a slice
+    first, last = int(idx[0]), int(idx[-1])
+    cells = idx - first
+
+    # Lags are dealt round-robin to n workers, each keeping its own per-cell
+    # maximum; the element-wise max over workers is exact in any order.  The
+    # buffers are allocated here, in the calling thread, so they do not land
+    # in per-thread malloc arenas.
+    n = min(_available_cores(), hi - lo + 1)
+    bufs = np.empty((n, L), dtype=np.complex128)
+    mags = np.empty((n, last - first + 1))
+    best = np.zeros((n, alphas.size))
+
+    def scan_lags(w: int) -> None:
+        buf, mag = bufs[w], mags[w]
+        for tau in range(lo + w, hi + 1, n):
+            # conj(x[tau:]) * x[:T-tau] in this operand order: the complex
+            # multiply is not bitwise commutative
+            row = buf[: T - tau]
+            np.conjugate(x[tau:], out=row)
+            np.multiply(row, x[: T - tau], out=row)
+            buf[T - tau:] = 0.0
+            spectrum = sfft.fft(buf, overwrite_x=True, workers=1)
+            np.abs(spectrum[first : last + 1], out=mag)
+            np.divide(mag, T, out=mag)
+            np.maximum(best[w], np.maximum.reduceat(mag, cells)[0::2], out=best[w])
+
+    if n == 1:
+        scan_lags(0)
+    else:
+        with ThreadPoolExecutor(n - 1) as pool:
+            futures = [pool.submit(scan_lags, w) for w in range(1, n)]
+            scan_lags(0)
+            for future in futures:
+                future.result()
     return CyclicProfile(
         alpha_grid=alphas,
-        magnitude_db=db10(best),
+        magnitude_db=db10(best.max(axis=0)),
         tau_range=(lo, hi),
     )
+
+
+def _available_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def cyclic_evidence(

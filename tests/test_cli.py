@@ -227,6 +227,54 @@ class TestIdentify:
     def test_missing_iq_exit2(self, tmp_path, plan_file):
         assert cli.main(["identify", str(tmp_path / "none.cf32"), "--plan", str(plan_file)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate_hz", 0), ("sample_rate_hz", -2e6), ("sample_rate_hz", float("inf")),
+        ("sample_rate_hz", float("nan")), ("sample_rate_hz", "fast"), ("sample_rate_hz", True),
+        ("sample_count", "40000"), ("sample_count", 40000.5),
+    ])
+    def test_bad_sidecar_number_exit3(self, tmp_path, recording_file, plan_file, field, value):
+        side = Path(str(recording_file) + ".json")
+        header = json.loads(side.read_text())
+        header[field] = value
+        side.write_text(json.dumps(header))
+        out = tmp_path / "r.json"
+        code = cli.main(["identify", str(recording_file), "--plan", str(plan_file), "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+
+    def test_non_finite_sample_exit3(self, tmp_path, recording_file, plan_file, capsys):
+        samples = np.fromfile(recording_file, dtype="<c8")
+        samples[1234] = np.nan
+        samples.tofile(recording_file)
+        out = tmp_path / "r.json"
+        code = cli.main(["identify", str(recording_file), "--plan", str(plan_file), "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "sample 1234" in capsys.readouterr().err
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("flags, config", [
+        (["--fft-size", "1000"], None),
+        (["--fft-size", "0"], None),
+        (["--k", "2"], None),
+        ([], {"overlap": 1.5}),
+        ([], {"tau_max": "256"}),
+        ([], {"cyclic_step_hz": 0}),
+        ([], {"fft_size": "1024"}),
+    ], ids=["fft_size_1000", "fft_size_0", "k_2", "overlap_1.5", "tau_max_str", "cyclic_step_0",
+            "fft_size_str"])
+    def test_exit2_and_no_report(self, tmp_path, recording_file, plan_file, flags, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            flags = flags + ["--config", str(path)]
+        out = tmp_path / "r.json"
+        code = cli.main([*flags, "identify", str(recording_file), "--plan", str(plan_file),
+                         "-o", str(out)])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_small_grid_csv(self, tmp_path):

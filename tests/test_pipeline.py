@@ -193,6 +193,28 @@ class TestConfig:
         with pytest.raises(ParameterError):
             pipeline.PipelineConfig.from_dict({"burst_detection": "sometimes"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("fft_size", True), ("fft_size", 512.0), ("window", "kaiser"), ("overlap", float("nan")),
+        ("floor_k", 0.0), ("floor_min_width_bins", 0), ("floor_merge_gap_bins", -1),
+        ("guard_factor", 0.0), ("stop_atten_db", 5.0), ("decimate", 1),
+        ("channelize_enabled", "yes"), ("envelope_smooth_len", 0), ("cyclic_step_hz", -1e3),
+        ("tau_max", -1), ("peak_k", 1.5), ("energy_pfa", 0.5), ("mf_pfa", 0.0),
+        ("template_min_score", 2.0), ("parallel", None),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        from hypersense.errors import ParameterError
+        with pytest.raises(ParameterError, match=field):
+            pipeline.PipelineConfig.from_dict({field: value})
+
+    def test_defaults_and_int_for_float_accepted(self):
+        pipeline.PipelineConfig().validate()
+        assert pipeline.PipelineConfig.from_dict({"overlap": 0, "guard_factor": 2}).guard_factor == 2
+
+    def test_non_object_rejected(self):
+        from hypersense.errors import ParameterError
+        with pytest.raises(ParameterError):
+            pipeline.PipelineConfig.from_dict([1024])
+
 
 class TestBurstGating:
     def _scenario(self):

@@ -1,12 +1,16 @@
 """Sensing method tests: Monte-Carlo calibration, exact reductions,
 generator-ground-truth feature checks."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from hypersense import sensing
 from hypersense import wavegen as wg
-from hypersense.dsp import welch_psd
+from hypersense.dsp import db10, welch_psd
 from hypersense.errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -126,6 +130,86 @@ class TestScanCyclic:
         assert profile.magnitude_db[0] == pytest.approx(
             10 * np.log10(np.max(np.abs(values))), abs=1e-6
         )
+
+
+def per_lag_scan(iq, alpha_grid, tau_range=None):
+    """Reference for scan_cyclic: one full-length FFT per lag, in lag order."""
+    x, fs = iq.samples, iq.sample_rate_hz
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if tau_range is None:
+        tau_range = (0, min(256, x.size // 4))
+    lo, hi = tau_range
+    T = x.size
+    L = sfft.next_fast_len(T)
+    step = float(np.min(np.diff(alphas))) if alphas.size > 1 else fs / T
+    starts = np.round((alphas - step / 2.0) / fs * L).astype(np.int64)
+    ends = np.round((alphas + step / 2.0) / fs * L).astype(np.int64)
+    starts = np.clip(starts, 0, L - 1)
+    ends = np.clip(np.maximum(ends, starts + 1), 1, L - 1)
+    idx = np.empty(2 * alphas.size, dtype=np.int64)
+    idx[0::2] = starts
+    idx[1::2] = ends
+    idx = np.maximum.accumulate(idx)
+    best = np.full(alphas.size, 0.0)
+    buf = np.zeros(L, dtype=np.complex128)
+    for tau in range(lo, hi + 1):
+        buf[:] = 0.0
+        buf[: T - tau] = x[: T - tau] * np.conj(x[tau:])
+        mag = np.abs(sfft.fft(buf)) / T
+        np.maximum(best, np.maximum.reduceat(mag, idx)[0::2], out=best)
+    return db10(best)
+
+
+@pytest.fixture(params=[1, 2], ids=["1core", "2cores"])
+def cores(request, monkeypatch):
+    monkeypatch.setattr(sensing, "_available_cores", lambda: request.param)
+    return request.param
+
+
+class TestScanCyclicMatchesPerLagLoop:
+    """scan_cyclic spreads the lags over workers; the per-lag loop is its oracle."""
+
+    FS = 1e6
+    # from 0 up to just below fs/2, so the last cell is clipped at the top bin
+    GRID = np.append(np.arange(0.0, 495e3, 3e3), FS / 2.0 - 1.0)
+    TAU_RANGES = [(0, 0), (3, 3), (5, 40), None]
+
+    def _bpsk(self, n, seed):
+        rng = np.random.default_rng(seed)
+        chips = np.repeat(rng.choice([-1.0, 1.0], size=n // 8 + 1), 8)[:n]
+        return rec(chips + awgn(n, rng), self.FS)
+
+    @pytest.mark.parametrize("tau_range", TAU_RANGES)
+    def test_bitwise_at_40000_samples(self, cores, tau_range):
+        iq = self._bpsk(40_000, 1)
+        got = sensing.scan_cyclic(iq, self.GRID, tau_range).magnitude_db
+        assert np.array_equal(got, per_lag_scan(iq, self.GRID, tau_range))
+
+    @pytest.mark.parametrize("n", [5_000, 20_011])  # 20,011 is prime: L > T, zero-padded
+    @pytest.mark.parametrize("tau_range", TAU_RANGES)
+    def test_close_below_40000_samples(self, cores, n, tau_range):
+        iq = self._bpsk(n, 2)
+        got = sensing.scan_cyclic(iq, self.GRID, tau_range).magnitude_db
+        want = per_lag_scan(iq, self.GRID, tau_range)
+        np.testing.assert_allclose(10 ** (got / 10), 10 ** (want / 10), rtol=1e-12)
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # each worker writes only its own rows; a short switch interval
+        # interleaves them as often as the interpreter allows
+        monkeypatch.setattr(sensing, "_available_cores", lambda: 5)
+        iq = self._bpsk(40_000, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sensing.scan_cyclic(iq, self.GRID, (0, 23)).magnitude_db
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, per_lag_scan(iq, self.GRID, (0, 23)))
+
+    def test_no_threads_left_behind(self, cores):
+        before = threading.active_count()
+        sensing.scan_cyclic(self._bpsk(5_000, 3), self.GRID)
+        assert threading.active_count() == before
 
 
 class TestCyclicEvidence:

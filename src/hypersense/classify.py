@@ -1,7 +1,7 @@
 """Candidate matching against a channel plan and identification verdicts.
 
 A channel plan lists frequency bands and, per band, candidate signal
-signatures (expected bandwidth, cyclic features, templates).  Detected
+signatures (expected bandwidth, cyclic features, a cyclic prefix).  Detected
 components are matched against the plan, a sensing method is selected per
 candidate from the method registry, and the collected evidence is
 rendered into a verdict.
@@ -20,8 +20,6 @@ from .sensing import (
     METHOD_AUTOCORR,
     METHOD_CYCLO,
     METHOD_ENERGY,
-    METHOD_MATCHED_FILTER,
-    METHOD_TEMPLATE_MATCH,
     Evidence,
     require_method,
 )
@@ -52,10 +50,7 @@ class CandidateSignature:
     expected_bw_hz: tuple[float, float]
     cyclic_features_hz: list[CyclicFeature] = field(default_factory=list)
     burst_header: dict | None = None          # {"period_hz": ...}
-    preamble_template_id: str | None = None
-    spectral_template_id: str | None = None
     preferred_method: str | None = None
-    dimension: str = ""
     cp_feature: CpFeature | None = None
     carrier_spacing_hz: float = 0.0
     max_carriers: int = 1
@@ -107,7 +102,7 @@ class ChannelPlan:
 
 @dataclass
 class MatchedFeature:
-    kind: str            # "cyclic", "carrier_spacing", "cp", "preamble", "spectral_template"
+    kind: str            # "cyclic", "carrier_spacing", "cp"
     expected: float
     measured: float
 
@@ -129,8 +124,9 @@ def plan_from_dict(data: dict) -> ChannelPlan:
     """Build and validate a plan.
 
     Raises ``ParameterError`` for a malformed plan and
-    ``UnsupportedMethodError`` for a ``preferred_method`` with no algorithm
-    behind it, so either is reported before any recording is processed.
+    ``UnsupportedMethodError`` for a ``preferred_method`` with no pipeline
+    stage behind it, so either is reported before any recording is
+    processed.  Candidate keys the loader does not read are ignored.
     """
     try:
         entries = []
@@ -148,10 +144,7 @@ def plan_from_dict(data: dict) -> ChannelPlan:
                         expected_bw_hz=(float(c["expected_bw_hz"][0]), float(c["expected_bw_hz"][1])),
                         cyclic_features_hz=feats,
                         burst_header=c.get("burst_header"),
-                        preamble_template_id=c.get("preamble_template_id"),
-                        spectral_template_id=c.get("spectral_template_id"),
                         preferred_method=c.get("preferred_method"),
-                        dimension=c.get("dimension", ""),
                         cp_feature=CpFeature(
                             float(cp["useful_s"]), float(cp["cp_s"]), float(cp["tolerance_s"])
                         )
@@ -220,20 +213,15 @@ def ssmsb_select(candidate: CandidateSignature) -> str:
 
     An explicit ``preferred_method`` wins (checked against the registry when
     the plan is loaded).  Otherwise: cyclic features select the cyclic scan,
-    a preamble template the matched filter, a repeated-tail (CP/midamble)
-    feature the autocorrelation detector, a spectral template the
-    template matcher, and a bare signature falls back to energy detection.
+    a repeated-tail (CP/midamble) feature the autocorrelation detector, and
+    a bare signature falls back to energy detection.
     """
     if candidate.preferred_method:
         return require_method(candidate.preferred_method).key
     if candidate.cyclic_features_hz:
         return METHOD_CYCLO
-    if candidate.preamble_template_id:
-        return METHOD_MATCHED_FILTER
     if candidate.cp_feature is not None:
         return METHOD_AUTOCORR
-    if candidate.spectral_template_id:
-        return METHOD_TEMPLATE_MATCH
     return METHOD_ENERGY
 
 
@@ -275,10 +263,6 @@ def match_features(candidate: CandidateSignature, ev: Evidence) -> list[MatchedF
         return _match_cyclic(candidate, ev)
     if ev.method == METHOD_AUTOCORR:
         return _match_cp(candidate, ev)
-    if ev.method == METHOD_MATCHED_FILTER and ev.detected:
-        return [MatchedFeature("preamble", 0.0, float(ev.extras.get("peak_index", 0)))]
-    if ev.method == METHOD_TEMPLATE_MATCH and ev.detected:
-        return [MatchedFeature("spectral_template", ev.threshold, ev.statistic)]
     return []
 
 

@@ -7,8 +7,8 @@ the noise-floor detector alone over a CSV of values).
 
 Exit codes: 0 success; 2 unusable configuration or arguments (messages
 are line-anchored for config parse errors); 3 IQ data/sidecar mismatch;
-4 a plan names a sensing method that is unknown or exists in the registry
-only as metadata (checked when the plan is loaded, before any work).
+4 a plan names a sensing method that is unknown or has no pipeline stage
+behind it (checked when the plan is loaded, before any work).
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         cfg.floor_k = args.k
     if getattr(args, "no_channelize", False):
         cfg.channelize_enabled = False
-    if getattr(args, "parallel", False):
-        cfg.parallel = True
     try:
         cfg.validate()
     except ParameterError as e:
@@ -213,9 +211,7 @@ def cmd_nfspem(args: argparse.Namespace) -> int:
     )
     try:
         estimate, comps = detect(values, axis, params)
-    except ParameterError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except Exception as e:
+    except ValueError as e:  # every hypersense error is a ValueError
         return _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
     out = {
         "threshold_db": estimate.threshold_db,
@@ -266,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None, help=f"channel plan (default ${PLAN_ENV_VAR} or shipped plan)")
     p.add_argument("-o", "--out", default=None, help="report path (default <iq>.report.json)")
     p.add_argument("--no-channelize", action="store_true", help="debug: skip bandpass isolation")
-    p.add_argument("--parallel", action="store_true", help="process components in parallel")
     p.add_argument("--timing", action="store_true", help="include timing (report no longer byte-stable)")
     p.add_argument("--emit-psd", default=None, metavar="CSV", help="write spectrum plot data")
     p.add_argument("--emit-cyclic", default=None, metavar="CSV",

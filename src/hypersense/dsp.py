@@ -129,7 +129,6 @@ def channelize(
     component: DetectedComponent,
     guard_factor: float = 1.25,
     stop_atten_db: float = 60.0,
-    decimate: bool = True,
 ) -> IqRecording:
     """Isolate one detected component: mix to DC, lowpass, decimate.
 
@@ -159,9 +158,8 @@ def channelize(
     y = x * taps[0] if taps.size == 1 else sig.fftconvolve(x, taps, mode="same")
 
     factor = 1
-    if decimate:
-        while fs / (factor * 2) >= 2.5 * bw:
-            factor *= 2
+    while fs / (factor * 2) >= 2.5 * bw:
+        factor *= 2
     if factor > 1:
         y = y[::factor]
     return IqRecording(

@@ -18,7 +18,7 @@ class DegenerateSpectrumError(ValueError):
 
 
 class UnsupportedMethodError(ValueError):
-    """A sensing method is registered for reference only and has no algorithm."""
+    """A sensing method is unknown, or registered with no pipeline stage behind it."""
 
 
 class IqFormatError(ValueError):

@@ -29,10 +29,6 @@ class IqRecording:
     center_freq_hz: float = 0.0
     description: str = ""
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 def sidecar_path(data_path: str | Path) -> Path:
     return Path(str(data_path) + ".json")

@@ -14,9 +14,7 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -25,20 +23,6 @@ from .dsp import WINDOWS, PowerSpectrum, channelize, power_envelope, welch_psd
 from .errors import DegenerateSpectrumError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
-
-# Matched-filter templates: id -> callable(sample_rate_hz) -> complex array.
-TEMPLATE_REGISTRY: dict[str, Callable[[float], np.ndarray]] = {}
-# Spectral-shape templates: id -> dB array over wideband spectrum bins.
-SPECTRAL_TEMPLATE_REGISTRY: dict[str, np.ndarray] = {}
-
-
-def register_template(template_id: str, factory: Callable[[float], np.ndarray]) -> None:
-    TEMPLATE_REGISTRY[template_id] = factory
-
-
-def register_spectral_template(template_id: str, shape_db: np.ndarray) -> None:
-    SPECTRAL_TEMPLATE_REGISTRY[template_id] = np.asarray(shape_db, dtype=float)
-
 
 @dataclass
 class PipelineConfig:
@@ -50,7 +34,6 @@ class PipelineConfig:
     floor_merge_gap_bins: int = 2
     guard_factor: float = 1.25
     stop_atten_db: float = 60.0
-    decimate: bool = True
     channelize_enabled: bool = True
     burst_detection: str = "auto"  # auto | on | off
     envelope_smooth_len: int = 128
@@ -58,9 +41,6 @@ class PipelineConfig:
     tau_max: int = 256
     peak_k: float = 1.0
     energy_pfa: float = 0.05
-    mf_pfa: float = 1e-3
-    template_min_score: float = 0.9
-    parallel: bool = False
 
     def floor_params(self) -> NoiseFloorParams:
         return NoiseFloorParams(self.floor_k, self.floor_min_width_bins, self.floor_merge_gap_bins)
@@ -121,9 +101,6 @@ class PipelineConfig:
             ("tau_max", self.tau_max >= 0, ">= 0"),
             ("peak_k", 0.0 < self.peak_k <= 1.0, "in (0, 1]"),
             ("energy_pfa", 0.0 < self.energy_pfa < 0.5, "in (0, 0.5)"),
-            ("mf_pfa", 0.0 < self.mf_pfa < 0.5, "in (0, 0.5)"),
-            # a Pearson correlation score
-            ("template_min_score", -1.0 <= self.template_min_score <= 1.0, "in [-1, 1]"),
         )
         for name, ok, domain in ranges:
             if not ok:
@@ -234,12 +211,15 @@ def _run_method(
     method: str,
     candidate: classify.CandidateSignature,
     channelized: IqRecording,
-    psd,
-    noise_var: float,
     config: PipelineConfig,
     widened: bool,
     passband_hz: float,
 ) -> sensing.Evidence:
+    """Run the cyclic scan or the autocorrelation detector on one component.
+
+    Energy evidence is gathered for every component before method
+    selection, so an energy candidate never comes here.
+    """
     fs = channelized.sample_rate_hz
     n = len(channelized.samples)
     if method == sensing.METHOD_CYCLO:
@@ -249,37 +229,22 @@ def _run_method(
         grid = _grid_from_windows(windows, config.cyclic_step_hz)
         profile = sensing.scan_cyclic(channelized, grid, (0, min(config.tau_max, n // 4)))
         return sensing.cyclic_evidence(profile, config.peak_params(), windows)
-    if method == sensing.METHOD_AUTOCORR:
-        # a band-limited channel is self-correlated out to ~fs/bandwidth
-        # lags; start the search above that
-        lo = 1
-        if passband_hz < fs:
-            lo = max(1, int(np.ceil(2.5 * fs / passband_hz)))
-        hi = min(256, n // 4)
-        if candidate.cp_feature is not None:
-            expected_u = candidate.cp_feature.useful_s * fs
-            lo = min(lo, max(1, int(expected_u / 2)))
-            period = (candidate.cp_feature.useful_s + candidate.cp_feature.cp_s) * fs
-            hi = min(max(hi, int(2.5 * period)), n // 4)
-        return sensing.cp_autocorr_detect(channelized, (lo, hi), config.peak_params())
-    if method == sensing.METHOD_MATCHED_FILTER:
-        template_id = candidate.preamble_template_id or ""
-        if template_id not in TEMPLATE_REGISTRY:
-            raise ParameterError(f"unknown preamble template {template_id!r}")
-        template = TEMPLATE_REGISTRY[template_id](fs)
-        return sensing.matched_filter_detect(channelized, template, config.mf_pfa)
-    if method == sensing.METHOD_TEMPLATE_MATCH:
-        template_id = candidate.spectral_template_id or ""
-        if template_id not in SPECTRAL_TEMPLATE_REGISTRY:
-            raise ParameterError(f"unknown spectral template {template_id!r}")
-        template = SPECTRAL_TEMPLATE_REGISTRY[template_id]
-        return sensing.spectral_template_match(psd, template, config.template_min_score)
-    return sensing.energy_detect(channelized, noise_var, config.energy_pfa)
+    # a band-limited channel is self-correlated out to ~fs/bandwidth
+    # lags; start the search above that
+    lo = 1
+    if passband_hz < fs:
+        lo = max(1, int(np.ceil(2.5 * fs / passband_hz)))
+    hi = min(256, n // 4)
+    if candidate.cp_feature is not None:
+        expected_u = candidate.cp_feature.useful_s * fs
+        lo = min(lo, max(1, int(expected_u / 2)))
+        period = (candidate.cp_feature.useful_s + candidate.cp_feature.cp_s) * fs
+        hi = min(max(hi, int(2.5 * period)), n // 4)
+    return sensing.cp_autocorr_detect(channelized, (lo, hi), config.peak_params())
 
 
 def _process_component(
     iq: IqRecording,
-    psd,
     estimate: NoiseFloorEstimate,
     noise_var_fullband: float,
     component: DetectedComponent,
@@ -306,7 +271,6 @@ def _process_component(
                 component,
                 guard_factor=guard,
                 stop_atten_db=config.stop_atten_db,
-                decimate=config.decimate,
             )
         else:
             channelized = iq
@@ -336,11 +300,11 @@ def _process_component(
 
         method = classify.ssmsb_select(top) if top is not None else None
         for widened in (False, True):
-            if top is not None:
+            if method in (sensing.METHOD_CYCLO, sensing.METHOD_AUTOCORR):
                 t0 = time.perf_counter()
                 evidences.append(
                     _run_method(
-                        method, top, channelized, psd, noise_var, config,
+                        method, top, channelized, config,
                         widened=widened, passband_hz=passband_hz,
                     )
                 )
@@ -380,15 +344,11 @@ def run_identification(
     noise_bins = psd.values_db <= estimate.threshold_db
     noise_var_fullband = float(np.mean(linear[noise_bins])) if noise_bins.any() else float(np.mean(linear))
 
-    worker = lambda comp: _process_component(
-        iq, psd, estimate, noise_var_fullband, comp, plan, config
-    )
     t0 = time.perf_counter()
-    if config.parallel and len(components) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(worker, components))
-    else:
-        results = [worker(c) for c in components]
+    results = [
+        _process_component(iq, estimate, noise_var_fullband, c, plan, config)
+        for c in components
+    ]
     timing["components"] = time.perf_counter() - t0
 
     flags = ["nfspem_tied"] if estimate.all_tied else []

@@ -1,10 +1,12 @@
 """Narrowband sensing and identification methods.
 
-Implemented methods: energy detection, cyclic-profile scanning (with the
-cyclic autocorrelation as the underlying statistic), cyclic-prefix
-detection via the sample autocorrelation, time-domain matched filtering
-and frequency-domain template matching.  The remaining registry rows are
-metadata only; selecting one raises ``UnsupportedMethodError``.
+The pipeline runs energy detection, cyclic-profile scanning (the
+max over lags of the cyclic autocorrelation) and cyclic-prefix detection
+via the sample autocorrelation.  Time-domain matched filtering and
+frequency-domain template matching are implemented here, but a channel
+plan cannot carry a template, so no pipeline stage runs them.  Selecting
+one of those two, or one of the registry rows that have no algorithm at
+all, raises ``UnsupportedMethodError``.
 
 Peak extraction on every method's output axis is delegated to the noise
 floor detector, so the detection behavior is uniform across axes.
@@ -47,39 +49,21 @@ METHOD_TEMPLATE_MATCH = "template_match"
 class MethodInfo:
     key: str
     name: str
-    dimension: str
-    sensing_parameter: str
-    result: str
-    implemented: bool
+    implemented: bool  # a pipeline stage runs it
 
 
 METHOD_REGISTRY: tuple[MethodInfo, ...] = (
-    MethodInfo(METHOD_ENERGY, "Energy Detection", "time/frequency", "signal energy",
-               "detection only", True),
-    MethodInfo(METHOD_MATCHED_FILTER, "Matched Filter", "time",
-               "time-domain signal structure (pulse shape, packet format, guard time, burst duration)",
-               "detection and identification", True),
-    MethodInfo(METHOD_CYCLO, "Cyclostationary Feature Detection", "frequency/code",
-               "chip rate, data rate, CP size, symbol duration, carrier spacing and number",
-               "detection and identification", True),
-    MethodInfo("statistical_tests", "Statistical Tests", "time", "signal distribution",
-               "detection only", False),
-    MethodInfo("entropy", "Entropy Based", "frequency", "signal entropy",
-               "detection only", False),
-    MethodInfo("eigenvalue", "Eigenvalue Based", "time/angle",
-               "signal eigenvalues, direction of arrival", "detection only", False),
-    MethodInfo(METHOD_AUTOCORR, "Autocorrelation", "time",
-               "cyclic prefix, midamble, preamble, PN sequence",
-               "detection and identification", True),
-    MethodInfo(METHOD_TEMPLATE_MATCH, "Template Matching", "frequency",
-               "frequency-domain filter characteristics",
-               "detection and identification", True),
-    MethodInfo("multitaper", "Multitaper Based", "frequency", "signal energy",
-               "detection only", False),
-    MethodInfo("wavelet", "Wavelet", "frequency", "signal energy",
-               "detection only", False),
-    MethodInfo("multiband_joint", "Multiband Joint Detection", "frequency",
-               "signal energy", "detection only", False),
+    MethodInfo(METHOD_ENERGY, "Energy Detection", True),
+    MethodInfo(METHOD_MATCHED_FILTER, "Matched Filter", False),
+    MethodInfo(METHOD_CYCLO, "Cyclostationary Feature Detection", True),
+    MethodInfo("statistical_tests", "Statistical Tests", False),
+    MethodInfo("entropy", "Entropy Based", False),
+    MethodInfo("eigenvalue", "Eigenvalue Based", False),
+    MethodInfo(METHOD_AUTOCORR, "Autocorrelation", True),
+    MethodInfo(METHOD_TEMPLATE_MATCH, "Template Matching", False),
+    MethodInfo("multitaper", "Multitaper Based", False),
+    MethodInfo("wavelet", "Wavelet", False),
+    MethodInfo("multiband_joint", "Multiband Joint Detection", False),
 )
 
 
@@ -96,7 +80,7 @@ def require_method(key_or_name: str) -> MethodInfo:
     if not info.implemented:
         raise UnsupportedMethodError(
             f"sensing method {info.name!r} is registered for reference only "
-            "and has no algorithm behind it"
+            "and has no pipeline stage behind it"
         )
     return info
 
@@ -144,34 +128,6 @@ def energy_detect(iq: IqRecording, noise_var: float, pfa: float = 0.05) -> Evide
         threshold=float(threshold),
         detected=bool(statistic > threshold),
     )
-
-
-def cyclic_autocorrelation(
-    iq: IqRecording, alpha_hz: float, tau_range: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """R(alpha, tau) = (1/T) sum_t x(t) conj(x(t+tau)) e^{-j2pi alpha t}.
-
-    Returns (taus, values, truncated); lags reaching past the end of the
-    recording are truncated rather than rejected, with the flag set.
-    """
-    x = np.asarray(iq.samples)
-    if x.size == 0:
-        raise EmptyInputError("empty recording")
-    fs = iq.sample_rate_hz
-    if abs(alpha_hz) >= fs / 2.0:
-        raise ParameterError(f"|alpha| must be below fs/2 = {fs/2:g} Hz")
-    lo, hi = int(tau_range[0]), int(tau_range[1])
-    if lo < 0 or hi < lo:
-        raise ParameterError(f"bad tau range ({lo}, {hi})")
-    truncated = hi >= x.size
-    hi = min(hi, x.size - 1)
-    taus = np.arange(lo, hi + 1)
-    t = np.arange(x.size)
-    w = x * np.exp(-2j * np.pi * alpha_hz / fs * t)
-    values = np.empty(taus.size, dtype=np.complex128)
-    for i, tau in enumerate(taus):
-        values[i] = np.dot(w[: x.size - tau], np.conj(x[tau:])) / x.size
-    return taus, values, truncated
 
 
 def scan_cyclic(

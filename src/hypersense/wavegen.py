@@ -289,36 +289,23 @@ def gen_psk_burst(
 
 
 def _rect_coefficients(
-    chan: ChannelSpec, fs: float, n: int, rng: np.random.Generator, positioned: bool
+    chan: ChannelSpec, fs: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-domain coefficients of a flat channel: (bin mask, values).
 
-    ``positioned`` places the band at the channel center; otherwise it is
-    centered on DC.  Unit mean power either way.
+    Independent Gaussian coefficients on the bins of the band around the
+    channel center, the same process as masking white noise; unit mean
+    power.
     """
     if chan.bandwidth_hz <= 0:
         raise ParameterError("rect_noise needs bandwidth_hz > 0")
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
     half = chan.bandwidth_hz / 2.0
-    offset = chan.center_freq_hz if positioned else 0.0
-    keep = (freqs >= offset - half) & (freqs < offset + half)
+    keep = (freqs >= chan.center_freq_hz - half) & (freqs < chan.center_freq_hz + half)
     m = int(keep.sum())
     coeff = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
     # unit mean power after the inverse transform (Parseval)
     return keep, coeff * (n / np.sqrt(max(m, 1)))
-
-
-def gen_rect_noise(chan: ChannelSpec, fs: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Flat-spectrum band-limited Gaussian noise, centered on DC.
-
-    Synthesized directly in the frequency domain (independent Gaussian
-    coefficients on the in-band bins), which is the same process as
-    masking white noise.
-    """
-    keep, coeff = _rect_coefficients(chan, fs, n, rng, positioned=False)
-    spec = np.zeros(n, dtype=np.complex128)
-    spec[keep] = coeff
-    return np.fft.ifft(spec)
 
 
 def _inband_power(x: np.ndarray, fs: float, band: tuple[float, float]) -> float:
@@ -372,7 +359,7 @@ def compose_scenario(
         target = 10.0 ** (chan.snr_db / 10.0) * noise_inband
 
         if chan.kind == "rect_noise":
-            keep, coeff = _rect_coefficients(chan, fs, n, rng, positioned=True)
+            keep, coeff = _rect_coefficients(chan, fs, n, rng)
             measured = float(np.sum(np.abs(coeff) ** 2)) / n**2  # Parseval
             rect_spectrum[keep] += coeff * np.sqrt(target / measured)
         else:

@@ -82,22 +82,14 @@ class TestSsmsbSelect:
     def test_no_features_select_energy(self):
         assert classify.ssmsb_select(cand("plain", (1e6, 2e6))) == sensing.METHOD_ENERGY
 
-    def test_preamble_selects_matched_filter(self):
-        c = cand("x", (1e6, 2e6), preamble_template_id="t1")
-        assert classify.ssmsb_select(c) == sensing.METHOD_MATCHED_FILTER
-
     def test_cp_selects_autocorr(self):
         c = cand("x", (1e6, 2e6), cp_feature=classify.CpFeature(64e-6, 16e-6, 2e-6))
         assert classify.ssmsb_select(c) == sensing.METHOD_AUTOCORR
 
-    def test_spectral_template_selects_template_match(self):
-        c = cand("x", (1e6, 2e6), spectral_template_id="s1")
-        assert classify.ssmsb_select(c) == sensing.METHOD_TEMPLATE_MATCH
-
     def test_priority_order(self):
         c = cand("x", (1e6, 2e6),
                  cyclic_features_hz=[classify.CyclicFeature(1e6, 1e3)],
-                 preamble_template_id="t", spectral_template_id="s")
+                 cp_feature=classify.CpFeature(64e-6, 16e-6, 2e-6))
         assert classify.ssmsb_select(c) == sensing.METHOD_CYCLO
 
     def test_unsupported_preferred_method(self):

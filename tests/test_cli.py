@@ -1,7 +1,9 @@
 """Command-line interface tests: file formats, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,20 +139,24 @@ class TestIdentify:
                          "-o", str(tmp_path / "r.json")])
         assert code == 3
 
-    def test_unsupported_method_exit4(self, tmp_path, recording_file, capsys):
+    # Wavelet has no algorithm; the matched filter and template match have
+    # one but no pipeline stage
+    @pytest.mark.parametrize("method", ["Wavelet", "matched_filter", "Template Matching"])
+    def test_unsupported_method_exit4(self, tmp_path, recording_file, capsys, method):
         plan = {
             "name": "bad", "entries": [{
                 "name": "ISM", "band_hz": [2.4e9, 2.4835e9],
                 "candidates": [{"label": "w", "expected_bw_hz": [0.2e6, 0.6e6],
-                                "preferred_method": "Wavelet"}],
+                                "preferred_method": method}],
             }],
         }
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan))
-        code = cli.main(["identify", str(recording_file), "--plan", str(path),
-                         "-o", str(tmp_path / "r.json")])
+        out = tmp_path / "r.json"
+        code = cli.main(["identify", str(recording_file), "--plan", str(path), "-o", str(out)])
         assert code == 4
-        assert "Wavelet" in capsys.readouterr().err
+        assert not out.exists()
+        assert sensing.lookup_method(method).name in capsys.readouterr().err
 
     def test_unsupported_method_rejected_with_the_plan(self, tmp_path, recording_file):
         # the candidate fits no component, so no component would ever select it
@@ -262,8 +268,9 @@ class TestBadConfig:
         ([], {"tau_max": "256"}),
         ([], {"cyclic_step_hz": 0}),
         ([], {"fft_size": "1024"}),
+        ([], {"parallel": False}),
     ], ids=["fft_size_1000", "fft_size_0", "k_2", "overlap_1.5", "tau_max_str", "cyclic_step_0",
-            "fft_size_str"])
+            "fft_size_str", "removed_field"])
     def test_exit2_and_no_report(self, tmp_path, recording_file, plan_file, flags, config):
         if config is not None:
             path = tmp_path / "cfg.json"
@@ -316,10 +323,16 @@ class TestNfspem:
         strongest = max(out["components"], key=lambda c: c["peak_value_db"])
         assert strongest["center"] == pytest.approx(715.0, abs=80.0)
 
-    def test_constant_input_exit2(self, tmp_path):
-        path = tmp_path / "flat.csv"
-        path.write_text("\n".join(["1.0"] * 64) + "\n")
-        assert cli.main(["nfspem", str(path)]) == 2
+    @pytest.mark.parametrize("text, flags", [
+        ("\n".join(["1.0"] * 64) + "\n", []),
+        ("1.0\n", []),
+        ("1.0\nnan\n2.0\n", []),
+        ("1.0\n2.0\n5.0\n", ["--min-width", "0"]),
+    ], ids=["constant", "one_value", "nan", "min_width_0"])
+    def test_constant_input_exit2(self, tmp_path, text, flags):
+        path = tmp_path / "vals.csv"
+        path.write_text(text)
+        assert cli.main(["nfspem", str(path), *flags]) == 2
 
     def test_k_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
@@ -338,3 +351,15 @@ class TestParser:
 
     def test_no_args_exit2(self):
         assert cli.main([]) == 2
+
+    def test_readme_flags_exist(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        parser = cli.build_parser()
+        options = set(parser._option_string_actions)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    options |= set(sub._option_string_actions)
+        documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+        assert documented and documented <= options, documented - options

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hypersense import classify, pipeline
+from hypersense import classify, pipeline, sensing
 from hypersense import wavegen as wg
 from hypersense.iqio import IqRecording
 
@@ -73,37 +73,31 @@ class TestRunIdentification:
         # round-trip: parse -> dump is byte-identical
         assert json.dumps(json.loads(s1), indent=2) + "\n" == s1
 
-    def test_parallel_matches_serial(self):
-        channels = [
-            wg.ChannelSpec(kind="rect_noise", center_freq_hz=-0.6e6, snr_db=12.0,
-                           bandwidth_hz=0.3e6),
-            wg.ChannelSpec(kind="rect_noise", center_freq_hz=0.5e6, snr_db=12.0,
-                           bandwidth_hz=0.3e6),
-        ]
-        spec = wg.ScenarioSpec(2e6, 0.03, 0.0, channels, seed=8, center_freq_hz=2.44e9)
+    def test_bare_candidate_gets_one_energy_evidence(self):
+        chan = wg.ChannelSpec(kind="rect_noise", center_freq_hz=0.3e6, snr_db=12.0,
+                              bandwidth_hz=0.4e6)
+        spec = wg.ScenarioSpec(2e6, 0.03, 0.0, [chan], seed=5, center_freq_hz=2.44e9)
         rec, _ = wg.compose_scenario(spec)
-        plan = ism_plan()
-        serial = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
-        par = pipeline.run_identification(
-            rec, pipeline.PipelineConfig(parallel=True), plan
-        )
-        d_serial = pipeline.report_to_dict(serial)
-        d_par = pipeline.report_to_dict(par)
-        d_serial.pop("config")
-        d_par.pop("config")
-        assert d_serial == d_par
+        plan = classify.ChannelPlan(name="bare", entries=[classify.ChannelPlanEntry(
+            name="E", band_hz=(2.4e9, 2.4835e9),
+            candidates=[classify.CandidateSignature(label="c", expected_bw_hz=(0.2e6, 0.6e6))])])
+        report = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
+        r = max(report.results, key=lambda r: r.component.width)
+        assert r.verdict.candidates_ranked == ["c"]
+        assert [ev.method for ev in r.verdict.evidence] == [sensing.METHOD_ENERGY]
 
     def test_component_isolation_on_failing_method(self):
-        # one band's candidate names a template that does not exist; the
-        # other component's verdict must be unaffected
+        # one band's candidate has its only cyclic feature above the channel
+        # rate, so its scan has nothing to search; the other component's
+        # verdict must be unaffected
         plan = classify.ChannelPlan(
             name="broken",
             entries=[
                 classify.ChannelPlanEntry(
                     name="low", band_hz=(2.4e9, 2.4394e9),
                     candidates=[classify.CandidateSignature(
-                        label="broken-template", expected_bw_hz=(0.1e6, 0.6e6),
-                        preamble_template_id="no-such-template")],
+                        label="broken-feature", expected_bw_hz=(0.1e6, 0.6e6),
+                        cyclic_features_hz=[classify.CyclicFeature(50e6, 1e3)])],
                 ),
                 classify.ChannelPlanEntry(
                     name="high", band_hz=(2.4394e9, 2.4835e9),
@@ -124,12 +118,12 @@ class TestRunIdentification:
         big = [r for r in report.results if r.component.width > 0.2e6]
         assert len(big) == 2
         low, high = big[0], big[1]
-        assert low.error is not None and "no-such-template" in low.error
+        assert low.error is not None and "no cyclic features to scan" in low.error
         assert high.error is None
         assert high.verdict.verdict == classify.VERDICT_DETECTED_UNIDENTIFIED
 
         # baseline: with a fixed plan both succeed, and the common verdict matches
-        plan.entries[0].candidates[0].preamble_template_id = None
+        plan.entries[0].candidates[0].cyclic_features_hz = []
         baseline = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
         base_high = [r for r in baseline.results if r.component.width > 0.2e6][1]
         assert base_high.verdict.verdict == high.verdict.verdict
@@ -196,10 +190,9 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("fft_size", True), ("fft_size", 512.0), ("window", "kaiser"), ("overlap", float("nan")),
         ("floor_k", 0.0), ("floor_min_width_bins", 0), ("floor_merge_gap_bins", -1),
-        ("guard_factor", 0.0), ("stop_atten_db", 5.0), ("decimate", 1),
+        ("guard_factor", 0.0), ("stop_atten_db", 5.0),
         ("channelize_enabled", "yes"), ("envelope_smooth_len", 0), ("cyclic_step_hz", -1e3),
-        ("tau_max", -1), ("peak_k", 1.5), ("energy_pfa", 0.5), ("mf_pfa", 0.0),
-        ("template_min_score", 2.0), ("parallel", None),
+        ("tau_max", -1), ("peak_k", 1.5), ("energy_pfa", 0.5),
     ])
     def test_bad_field_rejected(self, field, value):
         from hypersense.errors import ParameterError

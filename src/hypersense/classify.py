@@ -109,7 +109,6 @@ class MatchedFeature:
 
 @dataclass
 class IdentificationVerdict:
-    component: DetectedComponent
     candidates_ranked: list[str]
     verdict: str
     label: str | None
@@ -162,7 +161,7 @@ def plan_from_dict(data: dict) -> ChannelPlan:
                 )
             )
         plan = ChannelPlan(name=data.get("name", ""), entries=entries)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParameterError(f"bad channel plan: {exc}") from exc
     for entry in plan.entries:
         entry.validate()
@@ -269,7 +268,6 @@ def match_features(candidate: CandidateSignature, ev: Evidence) -> list[MatchedF
 def decide(
     candidate: CandidateSignature | None,
     evidences: list[Evidence],
-    component: DetectedComponent,
     candidates_ranked: list[str],
 ) -> IdentificationVerdict:
     """Render the verdict for one component.
@@ -304,7 +302,6 @@ def decide(
         verdict = VERDICT_DETECTED_UNIDENTIFIED
         label = None
     return IdentificationVerdict(
-        component=component,
         candidates_ranked=candidates_ranked,
         verdict=verdict,
         label=label,

@@ -5,10 +5,12 @@ ground truth), ``identify`` (run the identification pipeline over a
 recording), ``evaluate`` (Monte-Carlo confidence grid), ``nfspem`` (run
 the noise-floor detector alone over a CSV of values).
 
-Exit codes: 0 success; 2 unusable configuration or arguments (messages
-are line-anchored for config parse errors); 3 IQ data/sidecar mismatch;
-4 a plan names a sensing method that is unknown or has no pipeline stage
-behind it (checked when the plan is loaded, before any work).
+Exit codes are decided in ``main`` from the error class alone: 0 success;
+2 ``ParameterError`` or ``OSError`` (unusable config, arguments or
+paths; config parse errors are line-anchored); 3 ``IqFormatError`` (IQ
+data/sidecar mismatch); 4 ``UnsupportedMethodError`` (a plan names a
+sensing method with no pipeline stage behind it).  Any other error
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -46,15 +48,11 @@ def _default_plan_path() -> Path:
 
 def _load_json(path: Path, what: str) -> dict:
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as e:
-        raise SystemExit(_fail(EXIT_CONFIG, f"{what} {path}: {e}"))
-    try:
-        return json.loads(text)
+        raise ParameterError(f"{what} {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise SystemExit(
-            _fail(EXIT_CONFIG, f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-        )
+        raise ParameterError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
 
 
 def _fail(code: int, message: str) -> int:
@@ -70,66 +68,35 @@ def _write_xy_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
 
 # -- commands -------------------------------------------------------------------
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    spec_dict = _load_json(Path(args.scenario), "scenario config")
-    try:
-        spec = wavegen.scenario_from_dict(spec_dict)
-        if args.seed is not None:
-            spec.seed = args.seed
-        fft_size = args.fft_size or 1024
-        rec, truth = wavegen.compose_scenario(spec, fft_size=fft_size)
-    except ParameterError as e:
-        return _fail(EXIT_CONFIG, str(e))
+def cmd_simulate(args: argparse.Namespace) -> None:
+    spec = wavegen.scenario_from_dict(_load_json(Path(args.scenario), "scenario config"))
+    if args.seed is not None:
+        spec.seed = args.seed
+    fft_size = 1024 if args.fft_size is None else args.fft_size
+    rec, truth = wavegen.compose_scenario(spec, fft_size=fft_size)
     out = Path(args.out)
     write_iq(rec, out)
     truth_path = Path(str(out) + ".truth.json")
     truth_path.write_text(json.dumps(wavegen.truth_to_dict(truth), indent=2) + "\n")
     print(f"wrote {out} ({len(rec.samples)} samples), sidecar and {truth_path.name}")
-    return EXIT_OK
 
 
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    if args.config:
-        data = _load_json(Path(args.config), "pipeline config")
-        try:
-            cfg = pipeline.PipelineConfig.from_dict(data)
-        except ParameterError as e:
-            raise SystemExit(_fail(EXIT_CONFIG, str(e)))
-    else:
-        cfg = pipeline.PipelineConfig()
-    if args.fft_size is not None:
-        cfg.fft_size = args.fft_size
-    if args.k is not None:
-        cfg.floor_k = args.k
-    if getattr(args, "no_channelize", False):
-        cfg.channelize_enabled = False
-    try:
-        cfg.validate()
-    except ParameterError as e:
-        raise SystemExit(_fail(EXIT_CONFIG, str(e)))
-    return cfg
+    data = _load_json(Path(args.config), "pipeline config") if args.config else {}
+    if isinstance(data, dict):
+        overrides = {"fft_size": args.fft_size, "floor_k": args.k}
+        data.update((key, value) for key, value in overrides.items() if value is not None)
+    return pipeline.PipelineConfig.from_dict(data)
 
 
-def cmd_identify(args: argparse.Namespace) -> int:
-    try:
-        rec = read_iq(args.iq_path)
-    except FileNotFoundError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except IqFormatError as e:
-        return _fail(EXIT_IQ_FORMAT, str(e))
-
+def cmd_identify(args: argparse.Namespace) -> None:
+    rec = read_iq(args.iq_path)
     plan_path = Path(args.plan) if args.plan else _default_plan_path()
-    plan_dict = _load_json(plan_path, "channel plan")
-    try:
-        plan = classify.plan_from_dict(plan_dict)
-    except UnsupportedMethodError as e:
-        return _fail(EXIT_UNSUPPORTED_METHOD, str(e))
-    except ParameterError as e:
-        return _fail(EXIT_CONFIG, str(e))
+    plan = classify.plan_from_dict(_load_json(plan_path, "channel plan"))
     cfg = _pipeline_config(args)
 
     report = pipeline.run_identification(rec, cfg, plan)
-    text = pipeline.serialize_report(report, include_timing=args.timing)
+    text = pipeline.serialize_report(report)
     out = Path(args.out) if args.out else Path(str(args.iq_path) + ".report.json")
     out.write_text(text)
 
@@ -146,7 +113,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
         else:
             _write_xy_csv(args.emit_cyclic, profile.alpha_grid, profile.magnitude_db)
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 def _verdict_cyclic_profile(report: pipeline.IdentificationReport):
@@ -162,32 +128,28 @@ def _verdict_cyclic_profile(report: pipeline.IdentificationReport):
     return None
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     try:
         snr_list = [float(v) for v in args.snr_list.split(",") if v.strip()]
         occ_list = [float(v) for v in args.occ_list.split(",") if v.strip()]
     except ValueError as e:
-        return _fail(EXIT_CONFIG, f"bad grid values: {e}")
+        raise ParameterError(f"bad grid values: {e}") from e
     if not snr_list or not occ_list:
-        return _fail(EXIT_CONFIG, "empty SNR or occupancy list")
-    try:
-        cells = evaluation.confidence_grid(
-            snr_list,
-            occ_list,
-            trials=args.trials,
-            resamples=args.resamples,
-            seed=args.seed if args.seed is not None else 0,
-            fft_size=args.fft_size or 1024,
-            workers=args.workers,
-        )
-    except ParameterError as e:
-        return _fail(EXIT_CONFIG, str(e))
+        raise ParameterError("empty SNR or occupancy list")
+    cells = evaluation.confidence_grid(
+        snr_list,
+        occ_list,
+        trials=args.trials,
+        resamples=args.resamples,
+        seed=args.seed if args.seed is not None else 0,
+        fft_size=1024 if args.fft_size is None else args.fft_size,
+        workers=args.workers,
+    )
     evaluation.write_grid_csv(cells, args.out)
     print(f"wrote {args.out} ({len(cells)} cells)")
-    return EXIT_OK
 
 
-def cmd_nfspem(args: argparse.Namespace) -> int:
+def cmd_nfspem(args: argparse.Namespace) -> None:
     path = Path(args.values_csv)
     try:
         rows = [line.strip() for line in path.read_text().splitlines() if line.strip()]
@@ -199,10 +161,8 @@ def cmd_nfspem(args: argparse.Namespace) -> int:
             axis = (float(axis_vals[0]), step)
         else:
             axis = (0.0, 1.0)
-    except OSError as e:
-        return _fail(EXIT_CONFIG, f"{path}: {e}")
     except (ValueError, IndexError) as e:
-        return _fail(EXIT_CONFIG, f"{path}: not a CSV of numbers: {e}")
+        raise ParameterError(f"{path}: not a CSV of numbers: {e}") from e
 
     params = NoiseFloorParams(
         k=args.k if args.k is not None else 1.0,
@@ -212,7 +172,7 @@ def cmd_nfspem(args: argparse.Namespace) -> int:
     try:
         estimate, comps = detect(values, axis, params)
     except ValueError as e:  # every hypersense error is a ValueError
-        return _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
+        raise ParameterError(f"{type(e).__name__}: {e}") from e
     out = {
         "threshold_db": estimate.threshold_db,
         "change_level": estimate.change_level,
@@ -236,7 +196,6 @@ def cmd_nfspem(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------------
@@ -261,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("iq_path", help="IQ data file (cf32le with JSON sidecar)")
     p.add_argument("--plan", default=None, help=f"channel plan (default ${PLAN_ENV_VAR} or shipped plan)")
     p.add_argument("-o", "--out", default=None, help="report path (default <iq>.report.json)")
-    p.add_argument("--no-channelize", action="store_true", help="debug: skip bandpass isolation")
-    p.add_argument("--timing", action="store_true", help="include timing (report no longer byte-stable)")
     p.add_argument("--emit-psd", default=None, metavar="CSV", help="write spectrum plot data")
     p.add_argument("--emit-cyclic", default=None, metavar="CSV",
                    help="write the cyclic scan behind the first cyclic verdict")
@@ -294,9 +251,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_CONFIG
     try:
-        return args.func(args)
-    except SystemExit as e:
-        return int(e.code) if e.code else EXIT_CONFIG
+        args.func(args)
+    except UnsupportedMethodError as e:
+        return _fail(EXIT_UNSUPPORTED_METHOD, str(e))
+    except IqFormatError as e:
+        return _fail(EXIT_IQ_FORMAT, str(e))
+    except (ParameterError, OSError) as e:
+        return _fail(EXIT_CONFIG, str(e))
+    return EXIT_OK
 
 
 def entry() -> None:

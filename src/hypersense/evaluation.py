@@ -207,6 +207,8 @@ def confidence_grid(
         raise ParameterError("need at least 2 trials per cell")
     if resamples < 1:
         raise ParameterError("need at least 1 bootstrap resample")
+    if fft_size < 1:
+        raise ParameterError(f"fft_size must be >= 1, got {fft_size}")
     pool = ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else None
     cells = []
     cell_index = 0

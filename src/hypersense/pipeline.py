@@ -4,8 +4,7 @@ Stages: Welch spectrum -> noise-floor detection -> per-component plan
 matching -> channelization -> optional burst detection -> selected sensing
 method -> verdict.  Components are processed independently; one failing
 component records its error and leaves the others untouched.  Reports are
-deterministic for identical inputs (timing is kept out of the canonical
-serialization unless asked for).
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -123,7 +121,6 @@ class ComponentResult:
     bursts: list[BurstRecord]
     burst_flags: list[str]
     error: str | None
-    timing_s: dict
 
 
 @dataclass
@@ -133,7 +130,6 @@ class IdentificationReport:
     noise_floor: dict
     results: list[ComponentResult]
     flags: list[str]
-    timing_s: dict
     psd: PowerSpectrum  # the wideband spectrum the floor was detected on; not serialized
 
 
@@ -251,14 +247,11 @@ def _process_component(
     plan: classify.ChannelPlan,
     config: PipelineConfig,
 ) -> ComponentResult:
-    timing: dict[str, float] = {}
-    t_start = time.perf_counter()
     try:
         candidates = classify.scb_match(component, plan)
         labels = [c.label for c in candidates]
         top = candidates[0] if candidates else None
 
-        t0 = time.perf_counter()
         guard = config.guard_factor
         if top is not None and top.cyclic_features_hz:
             # a cyclic line at alpha correlates spectral content alpha apart;
@@ -274,7 +267,6 @@ def _process_component(
             )
         else:
             channelized = iq
-        timing["channelize"] = time.perf_counter() - t0
 
         noise_var = noise_var_fullband * channelized.sample_rate_hz / iq.sample_rate_hz
         passband_hz = (
@@ -294,62 +286,48 @@ def _process_component(
             config.burst_detection == "auto" and top is not None and top.burst_header
         )
         if want_bursts:
-            t0 = time.perf_counter()
             bursts, burst_flags = detect_bursts(channelized, config)
-            timing["burst_detection"] = time.perf_counter() - t0
 
         method = classify.ssmsb_select(top) if top is not None else None
         for widened in (False, True):
             if method in (sensing.METHOD_CYCLO, sensing.METHOD_AUTOCORR):
-                t0 = time.perf_counter()
                 evidences.append(
                     _run_method(
                         method, top, channelized, config,
                         widened=widened, passband_hz=passband_hz,
                     )
                 )
-                timing["rescan" if widened else "sensing"] = time.perf_counter() - t0
             if estimate.all_tied:
                 for ev in evidences:
                     if "nfspem_tied" not in ev.flags:
                         ev.flags.append("nfspem_tied")
-            verdict = classify.decide(top, evidences, component, labels)
+            verdict = classify.decide(top, evidences, labels)
             if widened:
                 verdict.extras["rescanned"] = True
             elif verdict.verdict == classify.VERDICT_IDENTIFIED or method != sensing.METHOD_CYCLO:
                 break  # only a cyclic downgrade earns one widened rescan
 
-        timing["total"] = time.perf_counter() - t_start
-        return ComponentResult(component, verdict, bursts, burst_flags, None, timing)
+        return ComponentResult(component, verdict, bursts, burst_flags, None)
     except Exception as exc:  # per-component isolation
-        timing["total"] = time.perf_counter() - t_start
-        return ComponentResult(component, None, [], [], f"{type(exc).__name__}: {exc}", timing)
+        return ComponentResult(component, None, [], [], f"{type(exc).__name__}: {exc}")
 
 
 def run_identification(
     iq: IqRecording, config: PipelineConfig, plan: classify.ChannelPlan
 ) -> IdentificationReport:
     """Identify every detected component of the recording against the plan."""
-    timing: dict[str, float] = {}
-    t0 = time.perf_counter()
     psd = welch_psd(iq, config.fft_size, config.window, config.overlap)
-    timing["psd"] = time.perf_counter() - t0
-
     axis_abs = (iq.center_freq_hz + psd.freq_start_hz, psd.freq_step_hz)
-    t0 = time.perf_counter()
     estimate, components = detect(psd.values_db, axis_abs, config.floor_params())
-    timing["wideband_sensing"] = time.perf_counter() - t0
 
     linear = np.power(10.0, psd.values_db / 10.0)
     noise_bins = psd.values_db <= estimate.threshold_db
     noise_var_fullband = float(np.mean(linear[noise_bins])) if noise_bins.any() else float(np.mean(linear))
 
-    t0 = time.perf_counter()
     results = [
         _process_component(iq, estimate, noise_var_fullband, c, plan, config)
         for c in components
     ]
-    timing["components"] = time.perf_counter() - t0
 
     flags = ["nfspem_tied"] if estimate.all_tied else []
     return IdentificationReport(
@@ -370,7 +348,6 @@ def run_identification(
         },
         results=results,
         flags=flags,
-        timing_s=timing,
         psd=psd,
     )
 
@@ -407,7 +384,7 @@ def _evidence_to_dict(ev: sensing.Evidence) -> dict:
     }
 
 
-def report_to_dict(report: IdentificationReport, include_timing: bool = False) -> dict:
+def report_to_dict(report: IdentificationReport) -> dict:
     results = []
     for r in report.results:
         entry: dict = {"component": _component_to_dict(r.component)}
@@ -428,20 +405,15 @@ def report_to_dict(report: IdentificationReport, include_timing: bool = False) -
         ]
         entry["burst_flags"] = list(r.burst_flags)
         entry["error"] = r.error
-        if include_timing:
-            entry["timing_s"] = dict(r.timing_s)
         results.append(entry)
-    out = {
+    return {
         "recording": report.recording,
         "config": report.config,
         "noise_floor": report.noise_floor,
         "components": results,
         "flags": report.flags,
     }
-    if include_timing:
-        out["timing_s"] = report.timing_s
-    return out
 
 
-def serialize_report(report: IdentificationReport, include_timing: bool = False) -> str:
-    return json.dumps(report_to_dict(report, include_timing), indent=2) + "\n"
+def serialize_report(report: IdentificationReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2) + "\n"

@@ -243,7 +243,6 @@ def cyclic_evidence(
         windows = [(float(grid[0]), float(grid[-1]))]
 
     strong: list = []
-    all_peaks: list = []
     flags: list[str] = []
     best_stat = -np.inf
     best_thr = -np.inf
@@ -263,7 +262,6 @@ def cyclic_evidence(
             c.start_index += int(sel[0])
             c.end_index += int(sel[0])
             c.peak_index += int(sel[0])
-        all_peaks.extend(comps)
         window_best = max((c.peak_value_db for c in comps), default=estimate.threshold_db)
         if window_best - estimate.threshold_db > best_stat - best_thr:
             best_stat, best_thr = window_best, float(estimate.threshold_db)
@@ -281,7 +279,7 @@ def cyclic_evidence(
         threshold=float(best_thr),
         detected=bool(strong),
         flags=flags,
-        extras={"all_peaks": all_peaks, "profile": profile},
+        extras={"profile": profile},
     )
 
 

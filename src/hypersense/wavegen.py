@@ -15,7 +15,7 @@ reproduces the recording bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +327,8 @@ def compose_scenario(
     fs = spec.sample_rate_hz
     if fs <= 0 or spec.duration_s <= 0:
         raise ParameterError("sample rate and duration must be positive")
+    if fft_size < 1:
+        raise ParameterError(f"fft_size must be >= 1, got {fft_size}")
     n = int(round(fs * spec.duration_s))
     if n < 1:
         raise ParameterError("scenario shorter than one sample")
@@ -423,12 +425,20 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return out
 
 
+# each channel field's converter, from its annotation (None for ``bursts``)
+_CHANNEL_FIELDS = {f.name: {"float": float, "int": int, "str": str}.get(f.type)
+                   for f in fields(ChannelSpec)}
+
+
 def scenario_from_dict(data: dict) -> ScenarioSpec:
+    """Build a spec, converting every number; ``ParameterError`` if malformed."""
     try:
         channels = []
         for entry in data.get("channels", []):
             entry = dict(entry)
-            bursts = [tuple(b) for b in entry.pop("bursts", [])]
+            bursts = [(float(start), float(dur)) for start, dur in entry.pop("bursts", [])]
+            entry = {k: _CHANNEL_FIELDS[k](v) if k in _CHANNEL_FIELDS else v
+                     for k, v in entry.items()}
             channels.append(ChannelSpec(bursts=bursts, **entry))
         return ScenarioSpec(
             sample_rate_hz=float(data["sample_rate_hz"]),
@@ -438,7 +448,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             seed=int(data.get("seed", 0)),
             center_freq_hz=float(data.get("center_freq_hz", 0.0)),
         )
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParameterError(f"bad scenario config: {e}") from e
 
 

@@ -111,7 +111,7 @@ class TestDecide:
     def test_identified_within_tolerance(self):
         c = cand("cdma", (3e6, 5e6),
                  cyclic_features_hz=[classify.CyclicFeature(1.2288e6, 10e3)])
-        v = classify.decide(c, [ev_cyclo([1.2300e6])], comp(1.96e9, 4e6), ["cdma"])
+        v = classify.decide(c, [ev_cyclo([1.2300e6])], ["cdma"])
         assert v.verdict == classify.VERDICT_IDENTIFIED
         assert v.label == "cdma"
         assert v.matched_features[0].measured == pytest.approx(1.23e6)
@@ -119,15 +119,14 @@ class TestDecide:
     def test_peak_outside_tolerance_unidentified(self):
         c = cand("cdma", (3e6, 5e6),
                  cyclic_features_hz=[classify.CyclicFeature(1.2288e6, 10e3)])
-        v = classify.decide(c, [ev_cyclo([1.30e6]), ev_energy()], comp(1.96e9, 4e6), ["cdma"])
+        v = classify.decide(c, [ev_cyclo([1.30e6]), ev_energy()], ["cdma"])
         assert v.verdict == classify.VERDICT_DETECTED_UNIDENTIFIED
         assert v.label is None
 
     def test_tied_flag_gives_low_confidence(self):
         c = cand("cdma", (3e6, 5e6),
                  cyclic_features_hz=[classify.CyclicFeature(1.2288e6, 10e3)])
-        v = classify.decide(c, [ev_cyclo([1.2288e6], flags=["nfspem_tied"])],
-                            comp(1.96e9, 4e6), ["cdma"])
+        v = classify.decide(c, [ev_cyclo([1.2288e6], flags=["nfspem_tied"])], ["cdma"])
         assert v.verdict == classify.VERDICT_LOW_CONFIDENCE
 
     def test_never_identified_without_match(self):
@@ -135,30 +134,30 @@ class TestDecide:
         c = cand("x", (1e6, 2e6),
                  cyclic_features_hz=[classify.CyclicFeature(1.0e6, 1e3)])
         for centers in ([1.01e6], [0.99e6], [2.0e6], []):
-            v = classify.decide(c, [ev_cyclo(centers), ev_energy()], comp(2.45e9, 1.5e6), ["x"])
+            v = classify.decide(c, [ev_cyclo(centers), ev_energy()], ["x"])
             assert v.verdict != classify.VERDICT_IDENTIFIED
 
     def test_carrier_count(self):
         c = cand("cdma", (3e6, 5e6),
                  cyclic_features_hz=[classify.CyclicFeature(1.2288e6, 12e3)],
                  carrier_spacing_hz=1.25e6, max_carriers=5)
-        v = classify.decide(c, [ev_cyclo([1.2288e6, 1.25e6, 2.5e6])], comp(1.96e9, 4e6), ["cdma"])
+        v = classify.decide(c, [ev_cyclo([1.2288e6, 1.25e6, 2.5e6])], ["cdma"])
         assert v.verdict == classify.VERDICT_IDENTIFIED
         assert v.extras["carrier_count"] == 3
 
     def test_no_candidate(self):
-        v = classify.decide(None, [ev_energy()], comp(2.45e9, 1e6), [])
+        v = classify.decide(None, [ev_energy()], [])
         assert v.verdict == classify.VERDICT_DETECTED_UNIDENTIFIED
 
     def test_cp_match(self):
         c = cand("ofdm", (1e6, 2e6), cp_feature=classify.CpFeature(64e-6, 16e-6, 2e-6))
         good = sensing.Evidence(sensing.METHOD_AUTOCORR, [], 0.0, -10.0, True,
                                 extras={"useful_s": 63.5e-6, "cp_s": 16.2e-6})
-        v = classify.decide(c, [good], comp(2.45e9, 1.5e6), ["ofdm"])
+        v = classify.decide(c, [good], ["ofdm"])
         assert v.verdict == classify.VERDICT_IDENTIFIED
         bad = sensing.Evidence(sensing.METHOD_AUTOCORR, [], 0.0, -10.0, True,
                                extras={"useful_s": 80e-6, "cp_s": 16e-6})
-        v = classify.decide(c, [bad, ev_energy()], comp(2.45e9, 1.5e6), ["ofdm"])
+        v = classify.decide(c, [bad, ev_energy()], ["ofdm"])
         assert v.verdict == classify.VERDICT_DETECTED_UNIDENTIFIED
 
 

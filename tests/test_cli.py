@@ -13,6 +13,7 @@ import pytest
 
 from hypersense import cli, pipeline, sensing
 from hypersense.classify import plan_from_dict
+from hypersense.errors import IqFormatError, ParameterError, UnsupportedMethodError
 from hypersense.iqio import read_iq
 
 
@@ -76,6 +77,16 @@ class TestSimulate:
         bad["channels"][0]["kind"] = "martian"
         path.write_text(json.dumps(bad))
         assert cli.main(["simulate", str(path), "-o", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("scenario", [
+        [1], scenario_dict(sample_rate_hz="x"),
+        scenario_dict(channels=[dict(scenario_dict()["channels"][0], snr_db="x")]),
+    ], ids=["not_an_object", "sample_rate_str", "snr_str"])
+    def test_malformed_scenario_exit2(self, tmp_path, capsys, scenario):
+        (tmp_path / "scn.json").write_text(json.dumps(scenario))
+        assert cli.main(["simulate", str(tmp_path / "scn.json"), "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad scenario config")
+        assert [p.name for p in tmp_path.iterdir()] == ["scn.json"]
 
     def test_run_as_module(self, tmp_path, scenario_file):
         out = tmp_path / "x.cf32"
@@ -223,6 +234,18 @@ class TestIdentify:
         assert np.array_equal(exported[:, 0], scan.alpha_grid)
         assert np.array_equal(exported[:, 1], scan.magnitude_db)
 
+    @pytest.mark.parametrize("plan", [[1], {"entries": [{
+        "name": "ISM", "band_hz": [2.4e9, 2.5e9],
+        "candidates": [{"label": "x", "expected_bw_hz": ["x", 2]}]}]},
+    ], ids=["not_an_object", "bandwidth_str"])
+    def test_malformed_plan_exit2(self, tmp_path, recording_file, capsys, plan):
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        out = tmp_path / "r.json"
+        assert cli.main(["identify", str(recording_file), "--plan", str(tmp_path / "plan.json"),
+                         "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: bad channel plan")
+
     def test_plan_env_var_default(self, tmp_path, recording_file, plan_file, monkeypatch):
         monkeypatch.setenv(cli.PLAN_ENV_VAR, str(plan_file))
         out = tmp_path / "r.json"
@@ -281,6 +304,44 @@ class TestBadConfig:
                          "-o", str(out)])
         assert code == 2
         assert not out.exists()
+
+
+SIMULATE = ["simulate", "{scn}"]
+EVALUATE = ["evaluate", "--snr-list", "10", "--occ-list", "0.25", "--trials", "2", "--resamples", "1"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (UnsupportedMethodError, 4), (IqFormatError, 3), (ParameterError, 2),
+        (FileNotFoundError, 2), (RuntimeError, None),
+    ])
+    def test_error_class_decides_the_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_identify", fail)
+        if code is None:  # a bug stays a traceback
+            with pytest.raises(error, match="boom"):
+                cli.main(["identify", "rec.cf32"])
+        else:
+            assert cli.main(["identify", "rec.cf32"]) == code
+            assert capsys.readouterr().err == "error: boom\n"
+
+    @pytest.mark.parametrize("argv", [
+        [*SIMULATE, "-o", "{tmp}/missing/x"],
+        ["identify", "{rec}", "--plan", "{plan}", "-o", "{tmp}/missing/x"],
+        [*EVALUATE, "-o", "{tmp}/missing/x"],
+        ["--fft-size=0", *SIMULATE, "-o", "{tmp}/x"],
+        ["--fft-size=-8", *SIMULATE, "-o", "{tmp}/x"],
+        ["--fft-size=0", *EVALUATE, "-o", "{tmp}/x"],
+        ["--fft-size=-8", *EVALUATE, "-o", "{tmp}/x"],
+    ], ids=["simulate_missing_dir", "identify_missing_dir", "evaluate_missing_dir",
+            "simulate_fft_0", "simulate_fft_-8", "evaluate_fft_0", "evaluate_fft_-8"])
+    def test_exit2_writes_nothing(self, tmp_path, scenario_file, recording_file, plan_file, argv):
+        before = sorted(tmp_path.rglob("*"))
+        paths = {"tmp": tmp_path, "scn": scenario_file, "rec": recording_file, "plan": plan_file}
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestEvaluate:

@@ -133,8 +133,6 @@ class TestRunIdentification:
         report = pipeline.run_identification(rec, pipeline.PipelineConfig(), ism_plan())
         d = pipeline.report_to_dict(report)
         assert "timing_s" not in d
-        d_t = pipeline.report_to_dict(report, include_timing=True)
-        assert "timing_s" in d_t
 
 
 class TestDetectBursts:

@@ -59,6 +59,17 @@ class CandidateSignature:
         lo, hi = self.expected_bw_hz
         if lo > hi:
             raise ParameterError(f"{self.label}: expected_bw_hz min {lo} > max {hi}")
+        for f in self.cyclic_features_hz:
+            # the cyclic scan's lag range divides by the smallest line
+            if not (f.freq_hz > 0.0 and f.tolerance_hz >= 0.0):
+                raise ParameterError(
+                    f"{self.label}: cyclic feature needs freq_hz > 0 and tolerance_hz >= 0, "
+                    f"got {f.freq_hz} and {f.tolerance_hz}"
+                )
+        if self.preferred_method is not None and not isinstance(self.preferred_method, str):
+            raise ParameterError(
+                f"{self.label}: preferred_method must be a string, got {self.preferred_method!r}"
+            )
         if self.preferred_method:
             require_method(self.preferred_method)
 

@@ -248,8 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else EXIT_CONFIG
+    except SystemExit as e:  # argparse exits 0 for --help and 2 for a usage error
+        return e.code
     try:
         args.func(args)
     except UnsupportedMethodError as e:

@@ -36,6 +36,8 @@ class PipelineConfig:
     burst_detection: str = "auto"  # auto | on | off
     envelope_smooth_len: int = 128
     cyclic_step_hz: float = 10e3
+    # upper cap only: the cyclic scan's last lag is the smallest of this,
+    # ceil(2 * channel rate / smallest cyclic line) and a quarter of the channel
     tau_max: int = 256
     peak_k: float = 1.0
     energy_pfa: float = 0.05
@@ -223,7 +225,11 @@ def _run_method(
             candidate, fs, config.cyclic_step_hz, widen=2.0 if widened else 1.0
         )
         grid = _grid_from_windows(windows, config.cyclic_step_hz)
-        profile = sensing.scan_cyclic(channelized, grid, (0, min(config.tau_max, n // 4)))
+        # the cyclic autocorrelation at alpha is supported within about one
+        # period, |tau| <~ fs/alpha (Gardner 1991); longer lags add only noise
+        alpha_min = min(alpha for _, alpha, _ in candidate.cyclic_lines())
+        tau_hi = min(config.tau_max, math.ceil(2.0 * fs / alpha_min), n // 4)
+        profile = sensing.scan_cyclic(channelized, grid, (0, tau_hi))
         return sensing.cyclic_evidence(profile, config.peak_params(), windows)
     # a band-limited channel is self-correlated out to ~fs/bandwidth
     # lags; start the search above that

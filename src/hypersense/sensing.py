@@ -234,7 +234,10 @@ def cyclic_evidence(
     detector per interval, where the local floor is flat; peaks must clear
     their local threshold by ``PEAK_MARGIN_DB``.  Without windows the whole
     grid is one interval; a constant window has no level structure and is
-    skipped.  The scanned profile is kept in ``extras["profile"]``.
+    skipped.  ``statistic`` and ``threshold`` are the highest peak and the
+    local threshold of the window whose peak clears its threshold by the
+    most; with no usable window both are the profile maximum.  The scanned
+    profile is kept in ``extras["profile"]``.
     """
     params = params or NoiseFloorParams(min_width_bins=1, merge_gap_bins=0)
     grid = profile.alpha_grid
@@ -244,8 +247,8 @@ def cyclic_evidence(
 
     strong: list = []
     flags: list[str] = []
-    best_stat = -np.inf
-    best_thr = -np.inf
+    best_margin = -np.inf
+    best_stat = best_thr = float(profile.magnitude_db.max())
     for lo, hi in windows:
         sel = np.flatnonzero((grid >= lo - step / 2.0) & (grid <= hi + step / 2.0))
         if sel.size < 2:
@@ -263,20 +266,18 @@ def cyclic_evidence(
             c.end_index += int(sel[0])
             c.peak_index += int(sel[0])
         window_best = max((c.peak_value_db for c in comps), default=estimate.threshold_db)
-        if window_best - estimate.threshold_db > best_stat - best_thr:
-            best_stat, best_thr = window_best, float(estimate.threshold_db)
+        if window_best - estimate.threshold_db > best_margin:
+            best_margin = window_best - estimate.threshold_db
+            best_stat, best_thr = float(window_best), float(estimate.threshold_db)
         strong.extend(
             c for c in comps if c.peak_value_db - estimate.threshold_db >= PEAK_MARGIN_DB
         )
     strong.sort(key=lambda c: c.start_index)
-    if not np.isfinite(best_stat):
-        best_stat = float(profile.magnitude_db.max())
-        best_thr = best_stat
     return Evidence(
         method=METHOD_CYCLO,
         peaks=strong,
-        statistic=float(best_stat),
-        threshold=float(best_thr),
+        statistic=best_stat,
+        threshold=best_thr,
         detected=bool(strong),
         flags=flags,
         extras={"profile": profile},

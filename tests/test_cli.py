@@ -246,6 +246,24 @@ class TestIdentify:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: bad channel plan")
 
+    @pytest.mark.parametrize("candidate", [
+        {"preferred_method": 5},
+        {"cyclic_features_hz": [{"freq_hz": 0.0, "tolerance_hz": 1e3}]},
+        {"cyclic_features_hz": [{"freq_hz": -1e6, "tolerance_hz": 1e3}]},
+        {"cyclic_features_hz": [{"freq_hz": 1e6, "tolerance_hz": -1.0}]},
+    ], ids=["method_int", "cyclic_freq_0", "cyclic_freq_negative", "cyclic_tol_negative"])
+    def test_bad_plan_value_exit2(self, tmp_path, recording_file, capsys, candidate):
+        plan = {"name": "bad", "entries": [{
+            "name": "ISM", "band_hz": [2.4e9, 2.4835e9],
+            "candidates": [{"label": "w", "expected_bw_hz": [0.2e6, 0.6e6], **candidate}],
+        }]}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        out = tmp_path / "r.json"
+        assert cli.main(["identify", str(recording_file), "--plan", str(tmp_path / "plan.json"),
+                         "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: w: ")
+
     def test_plan_env_var_default(self, tmp_path, recording_file, plan_file, monkeypatch):
         monkeypatch.setenv(cli.PLAN_ENV_VAR, str(plan_file))
         out = tmp_path / "r.json"
@@ -412,6 +430,11 @@ class TestParser:
 
     def test_no_args_exit2(self):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"]])
+    def test_help_exit0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: hypersense")
 
     def test_readme_flags_exist(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -246,3 +246,54 @@ class TestBurstGating:
         report = pipeline.run_identification(rec, cfg, self._plan(None))
         r = self._main_result(report)
         assert r.bursts or r.burst_flags
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """The shipped ISM and PCS recordings at their shipped seeds, with plans."""
+    from importlib import resources
+
+    data = resources.files("hypersense.data")
+    out = {}
+    for name, scenario, plan in (("ism", "ism_burst_scenario.json", "ism24_plan.json"),
+                                 ("pcs", "pcs_multicarrier_scenario.json", "pcs1900_plan.json")):
+        rec, _ = wg.compose_scenario(wg.load_scenario(str(data / scenario)))
+        out[name] = (rec, classify.load_plan(str(data / plan)))
+    return out
+
+
+class TestCyclicLagRange:
+    """The scan's last lag is ceil(2 fs_c / alpha_min), capped by tau_max."""
+
+    def _tau_ranges(self, shipped, name, config=None):
+        rec, plan = shipped[name]
+        report = pipeline.run_identification(
+            rec, pipeline.PipelineConfig.from_dict(config or {}), plan
+        )
+        ranges: dict[str, set] = {}
+        for r in report.results:
+            assert r.error is None
+            for ev in r.verdict.evidence:
+                if ev.method == sensing.METHOD_CYCLO:
+                    label = r.verdict.candidates_ranked[0]
+                    ranges.setdefault(label, set()).add(ev.extras["profile"].tau_range)
+        return ranges
+
+    def test_shipped_scenarios(self, shipped):
+        # FSK burst: 4 MS/s channel, alpha 1 MHz; DSSS: 8 MS/s, 1.2288 MHz;
+        # PCS: 9.8304 MS/s, 1.2288 MHz
+        assert self._tau_ranges(shipped, "ism") == {
+            "fh-burst-1msym": {(0, 8)}, "dsss-1p2288": {(0, 14)},
+        }
+        assert self._tau_ranges(shipped, "pcs") == {"cdma2000-like": {(0, 16)}}
+
+    def test_tau_max_caps_the_range(self, shipped):
+        assert self._tau_ranges(shipped, "ism", {"tau_max": 4}) == {
+            "fh-burst-1msym": {(0, 4)}, "dsss-1p2288": {(0, 4)},
+        }
+
+    def test_full_rate_without_channelization(self, shipped):
+        # every component is scanned at the recording's 8 MS/s
+        assert self._tau_ranges(shipped, "ism", {"channelize_enabled": False}) == {
+            "fh-burst-1msym": {(0, 16)}, "dsss-1p2288": {(0, 14)},
+        }

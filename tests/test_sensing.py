@@ -18,6 +18,7 @@ from hypersense.errors import (
     UnsupportedMethodError,
 )
 from hypersense.iqio import IqRecording
+from hypersense.noisefloor import NoiseFloorParams, detect
 
 
 def rec(x, fs=1e6, fc=0.0):
@@ -255,6 +256,22 @@ class TestCyclicEvidence:
         assert ev.detected
         assert [pk.peak_index for pk in ev.peaks] == [45]
         assert ev.extras["profile"] is profile
+
+    def test_statistic_is_the_best_window_margin(self):
+        rng = np.random.default_rng(6)
+        values = rng.normal(0.0, 0.5, 60)
+        values[10] = 10.0
+        values[45] = 20.0
+        windows = [(0.0, 19e3), (20e3, 59e3)]
+        ev = sensing.cyclic_evidence(self._profile(values), windows=windows)
+        params = NoiseFloorParams(min_width_bins=1, merge_gap_bins=0)
+        margins = []
+        for lo, hi in ((0, 20), (20, 60)):
+            estimate, comps = detect(values[lo:hi], (lo * 1e3, 1e3), params)
+            margins.append(max(c.peak_value_db for c in comps) - estimate.threshold_db)
+        assert margins[1] > margins[0] > 0.0
+        assert ev.statistic == 20.0
+        assert ev.statistic - ev.threshold == pytest.approx(margins[1])
 
     def test_nan_profile_raises(self):
         values = np.random.default_rng(5).normal(0.0, 0.5, 40)

@@ -9,13 +9,12 @@ rendered into a verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
 from .errors import ParameterError
 from .noisefloor import DetectedComponent
+from .schema import from_json, load_json
 from .sensing import (
     METHOD_AUTOCORR,
     METHOD_CYCLO,
@@ -57,8 +56,18 @@ class CandidateSignature:
 
     def validate(self) -> None:
         lo, hi = self.expected_bw_hz
-        if lo > hi:
-            raise ParameterError(f"{self.label}: expected_bw_hz min {lo} > max {hi}")
+        if not 0.0 < lo <= hi:
+            raise ParameterError(f"{self.label}: expected_bw_hz needs 0 < min <= max, got {lo} and {hi}")
+        if self.max_carriers < 1 or self.carrier_spacing_hz < 0.0:
+            raise ParameterError(
+                f"{self.label}: needs max_carriers >= 1 and carrier_spacing_hz >= 0, "
+                f"got {self.max_carriers} and {self.carrier_spacing_hz}"
+            )
+        cp = self.cp_feature
+        if cp is not None and not (cp.useful_s > 0.0 and cp.cp_s >= 0.0 and cp.tolerance_s >= 0.0):
+            raise ParameterError(
+                f"{self.label}: cp_feature needs useful_s > 0, cp_s >= 0 and tolerance_s >= 0, got {cp}"
+            )
         for f in self.cyclic_features_hz:
             # the cyclic scan's lag range divides by the smallest line
             if not (f.freq_hz > 0.0 and f.tolerance_hz >= 0.0):
@@ -66,10 +75,6 @@ class CandidateSignature:
                     f"{self.label}: cyclic feature needs freq_hz > 0 and tolerance_hz >= 0, "
                     f"got {f.freq_hz} and {f.tolerance_hz}"
                 )
-        if self.preferred_method is not None and not isinstance(self.preferred_method, str):
-            raise ParameterError(
-                f"{self.label}: preferred_method must be a string, got {self.preferred_method!r}"
-            )
         if self.preferred_method:
             require_method(self.preferred_method)
 
@@ -95,7 +100,7 @@ class CandidateSignature:
 class ChannelPlanEntry:
     name: str
     band_hz: tuple[float, float]
-    candidates: list[CandidateSignature]
+    candidates: list[CandidateSignature] = field(default_factory=list)
 
     def validate(self) -> None:
         lo, hi = self.band_hz
@@ -107,8 +112,12 @@ class ChannelPlanEntry:
 
 @dataclass
 class ChannelPlan:
-    name: str
-    entries: list[ChannelPlanEntry]
+    name: str = ""
+    entries: list[ChannelPlanEntry] = field(default_factory=list)
+
+    def validate(self) -> None:
+        for entry in self.entries:
+            entry.validate()
 
 
 @dataclass
@@ -136,51 +145,15 @@ def plan_from_dict(data: dict) -> ChannelPlan:
     Raises ``ParameterError`` for a malformed plan and
     ``UnsupportedMethodError`` for a ``preferred_method`` with no pipeline
     stage behind it, so either is reported before any recording is
-    processed.  Candidate keys the loader does not read are ignored.
+    processed.  Keys the plan's dataclasses do not declare are ignored.
     """
-    try:
-        entries = []
-        for e in data.get("entries", []):
-            candidates = []
-            for c in e.get("candidates", []):
-                feats = [
-                    CyclicFeature(float(f["freq_hz"]), float(f["tolerance_hz"]))
-                    for f in c.get("cyclic_features_hz", [])
-                ]
-                cp = c.get("cp_feature")
-                candidates.append(
-                    CandidateSignature(
-                        label=c["label"],
-                        expected_bw_hz=(float(c["expected_bw_hz"][0]), float(c["expected_bw_hz"][1])),
-                        cyclic_features_hz=feats,
-                        burst_header=c.get("burst_header"),
-                        preferred_method=c.get("preferred_method"),
-                        cp_feature=CpFeature(
-                            float(cp["useful_s"]), float(cp["cp_s"]), float(cp["tolerance_s"])
-                        )
-                        if cp
-                        else None,
-                        carrier_spacing_hz=float(c.get("carrier_spacing_hz", 0.0)),
-                        max_carriers=int(c.get("max_carriers", 1)),
-                    )
-                )
-            entries.append(
-                ChannelPlanEntry(
-                    name=e["name"],
-                    band_hz=(float(e["band_hz"][0]), float(e["band_hz"][1])),
-                    candidates=candidates,
-                )
-            )
-        plan = ChannelPlan(name=data.get("name", ""), entries=entries)
-    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParameterError(f"bad channel plan: {exc}") from exc
-    for entry in plan.entries:
-        entry.validate()
+    plan = from_json(ChannelPlan, data, "bad channel plan", ignore_unknown=True)
+    plan.validate()
     return plan
 
 
 def load_plan(path: str | Path) -> ChannelPlan:
-    return plan_from_dict(json.loads(Path(path).read_text()))
+    return plan_from_dict(load_json(path, "channel plan"))
 
 
 # -- SCB: spectral matching ---------------------------------------------------

@@ -28,6 +28,7 @@ from .dsp import power_envelope
 from .errors import IqFormatError, ParameterError, UnsupportedMethodError
 from .iqio import read_iq, write_iq
 from .noisefloor import NoiseFloorParams, detect
+from .schema import load_json
 
 PLAN_ENV_VAR = "HS_PLAN_PATH"
 
@@ -46,15 +47,6 @@ def _default_plan_path() -> Path:
     return Path(str(resources.files("hypersense.data") / "ism24_plan.json"))
 
 
-def _load_json(path: Path, what: str) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except OSError as e:
-        raise ParameterError(f"{what} {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParameterError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-
-
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -69,7 +61,7 @@ def _write_xy_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
 # -- commands -------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> None:
-    spec = wavegen.scenario_from_dict(_load_json(Path(args.scenario), "scenario config"))
+    spec = wavegen.load_scenario(args.scenario)
     if args.seed is not None:
         spec.seed = args.seed
     fft_size = 1024 if args.fft_size is None else args.fft_size
@@ -82,7 +74,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    data = _load_json(Path(args.config), "pipeline config") if args.config else {}
+    data = load_json(args.config, "pipeline config") if args.config else {}
     if isinstance(data, dict):
         overrides = {"fft_size": args.fft_size, "floor_k": args.k}
         data.update((key, value) for key, value in overrides.items() if value is not None)
@@ -91,8 +83,7 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 def cmd_identify(args: argparse.Namespace) -> None:
     rec = read_iq(args.iq_path)
-    plan_path = Path(args.plan) if args.plan else _default_plan_path()
-    plan = classify.plan_from_dict(_load_json(plan_path, "channel plan"))
+    plan = classify.load_plan(args.plan or _default_plan_path())
     cfg = _pipeline_config(args)
 
     report = pipeline.run_identification(rec, cfg, plan)
@@ -100,12 +91,18 @@ def cmd_identify(args: argparse.Namespace) -> None:
     out = Path(args.out) if args.out else Path(str(args.iq_path) + ".report.json")
     out.write_text(text)
 
-    if args.emit_psd:
+    if args.emit_psd:  # empty when the recording is shorter than one FFT
         psd = report.psd
-        _write_xy_csv(args.emit_psd, rec.center_freq_hz + psd.freqs_hz, psd.values_db)
-    if args.emit_envelope:
-        env_db, (t0, dt) = power_envelope(rec, cfg.envelope_smooth_len)
-        _write_xy_csv(args.emit_envelope, t0 + dt * np.arange(env_db.size), env_db)
+        if psd is None:
+            Path(args.emit_psd).write_text("")
+        else:
+            _write_xy_csv(args.emit_psd, rec.center_freq_hz + psd.freqs_hz, psd.values_db)
+    if args.emit_envelope:  # empty when the recording has no samples
+        if len(rec.samples) == 0:
+            Path(args.emit_envelope).write_text("")
+        else:
+            env_db, (t0, dt) = power_envelope(rec, cfg.envelope_smooth_len)
+            _write_xy_csv(args.emit_envelope, t0 + dt * np.arange(env_db.size), env_db)
     if args.emit_cyclic:
         profile = _verdict_cyclic_profile(report)
         if profile is None:

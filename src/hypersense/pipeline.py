@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import classify, sensing
 from .dsp import WINDOWS, PowerSpectrum, channelize, power_envelope, welch_psd
-from .errors import DegenerateSpectrumError, ParameterError
+from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
+from .schema import from_json
 
 @dataclass
 class PipelineConfig:
@@ -53,36 +53,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        if not isinstance(data, dict):
-            raise ParameterError("pipeline config must be a JSON object")
-        cfg = cls()
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ParameterError(f"unknown pipeline config field {key!r}")
-            setattr(cfg, key, value)
+        cfg = from_json(cls, data, "pipeline config")
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        """Raise ParameterError for the first field of the wrong type or range.
-
-        Types follow the field annotations: a bool is not accepted as a
-        number, an int is accepted where a float is declared, and numbers
-        must be finite.
-        """
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "bool":
-                ok = isinstance(value, bool)
-            elif f.type == "str":
-                ok = isinstance(value, str)
-            else:
-                kind = numbers.Integral if f.type == "int" else numbers.Real
-                ok = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
-            if not ok:
-                what = {"bool": "a bool", "str": "a string", "int": "a finite integer",
-                        "float": "a finite number"}[f.type]
-                raise ParameterError(f"pipeline config field {f.name!r} must be {what}, got {value!r}")
+        """Raise ParameterError for the first field out of range (types are checked by ``from_json``)."""
         ranges = (
             ("fft_size", self.fft_size >= 8 and not self.fft_size & (self.fft_size - 1),
              "a power of two >= 8"),
@@ -129,10 +105,12 @@ class ComponentResult:
 class IdentificationReport:
     recording: dict
     config: dict
-    noise_floor: dict
+    noise_floor: dict | None  # None when the recording has no floor to detect
     results: list[ComponentResult]
     flags: list[str]
-    psd: PowerSpectrum  # the wideband spectrum the floor was detected on; not serialized
+    # the wideband spectrum the floor was detected on (None if the recording
+    # is shorter than one FFT); not serialized
+    psd: PowerSpectrum | None
 
 
 def detect_bursts(
@@ -321,10 +299,27 @@ def _process_component(
 def run_identification(
     iq: IqRecording, config: PipelineConfig, plan: classify.ChannelPlan
 ) -> IdentificationReport:
-    """Identify every detected component of the recording against the plan."""
-    psd = welch_psd(iq, config.fft_size, config.window, config.overlap)
-    axis_abs = (iq.center_freq_hz + psd.freq_start_hz, psd.freq_step_hz)
-    estimate, components = detect(psd.values_db, axis_abs, config.floor_params())
+    """Identify every detected component of the recording against the plan.
+
+    A recording shorter than one FFT, or one whose spectrum has no spread
+    (pure silence), has no floor to detect: its report has no components,
+    no noise floor and the flag ``insufficient_data`` or
+    ``degenerate_spectrum``.
+    """
+    recording = {
+        "sample_rate_hz": iq.sample_rate_hz,
+        "center_freq_hz": iq.center_freq_hz,
+        "sample_count": len(iq.samples),
+        "description": iq.description,
+    }
+    psd = None
+    try:
+        psd = welch_psd(iq, config.fft_size, config.window, config.overlap)
+        axis_abs = (iq.center_freq_hz + psd.freq_start_hz, psd.freq_step_hz)
+        estimate, components = detect(psd.values_db, axis_abs, config.floor_params())
+    except (InsufficientDataError, DegenerateSpectrumError) as exc:
+        flag = "insufficient_data" if isinstance(exc, InsufficientDataError) else "degenerate_spectrum"
+        return IdentificationReport(recording, config.to_dict(), None, [], [flag], psd)
 
     linear = np.power(10.0, psd.values_db / 10.0)
     noise_bins = psd.values_db <= estimate.threshold_db
@@ -337,12 +332,7 @@ def run_identification(
 
     flags = ["nfspem_tied"] if estimate.all_tied else []
     return IdentificationReport(
-        recording={
-            "sample_rate_hz": iq.sample_rate_hz,
-            "center_freq_hz": iq.center_freq_hz,
-            "sample_count": len(iq.samples),
-            "description": iq.description,
-        },
+        recording=recording,
         config=config.to_dict(),
         noise_floor={
             "threshold_db": estimate.threshold_db,

@@ -14,16 +14,22 @@ reproduces the recording bit for bit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyInputError, ParameterError
 from .iqio import IqRecording
+from .schema import from_json, load_json
 
 CHANNEL_KINDS = ("psk_burst", "dsss", "ofdm", "fsk_header_burst", "rect_noise")
+
+# the highest noise power (dBW), SNR (dB) or channel power (their sum) a
+# scenario may ask for: 10 ** (600 / 10) is far inside float64, and a sample
+# amplitude of about sqrt(1e60) leaves cf32 (max 3.4e38) eight orders of
+# magnitude for noise peaks and short bursts
+MAX_POWER_DB = 600.0
 
 
 @dataclass
@@ -57,9 +63,23 @@ class ScenarioSpec:
     sample_rate_hz: float
     duration_s: float
     noise_power_dbw: float
-    channels: list[ChannelSpec]
+    channels: list[ChannelSpec] = field(default_factory=list)
     seed: int = 0
     center_freq_hz: float = 0.0  # RF frequency the baseband origin represents
+
+    def validate(self) -> None:
+        """Raise ParameterError for a value out of range; renders nothing."""
+        fs = self.sample_rate_hz
+        if fs <= 0 or self.duration_s <= 0:
+            raise ParameterError("sample rate and duration must be positive")
+        if fs * self.duration_s <= 0.5:  # rounds to no sample
+            raise ParameterError("scenario shorter than one sample")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.noise_power_dbw > MAX_POWER_DB:
+            raise ParameterError(f"noise_power_dbw must be <= {MAX_POWER_DB:g}, got {self.noise_power_dbw:g}")
+        for chan in self.channels:
+            _validate_channel(chan, fs, self.duration_s, self.noise_power_dbw)
 
 
 @dataclass
@@ -105,13 +125,23 @@ def expected_features(chan: ChannelSpec, fs_hz: float) -> list[float]:
     return []
 
 
-def _validate_channel(chan: ChannelSpec, fs: float, duration: float) -> None:
+def _validate_channel(chan: ChannelSpec, fs: float, duration: float, noise_dbw: float) -> None:
     if chan.kind not in CHANNEL_KINDS:
         raise ParameterError(f"unknown channel kind {chan.kind!r}")
-    lo, hi = nominal_band(chan, fs)
-    if lo < -fs / 2.0 or hi > fs / 2.0:
+    if chan.useful_length < 1 or chan.cp_length < 0:
+        raise ParameterError("useful_length must be >= 1 and cp_length >= 0")
+    if not 0 <= chan.used_subcarriers <= chan.useful_length:
+        raise ParameterError("used_subcarriers must be in [0, useful_length]")
+    if chan.carrier_spacing_hz < 0:
+        raise ParameterError(f"carrier_spacing_hz must be >= 0, got {chan.carrier_spacing_hz:g}")
+    if max(chan.snr_db, noise_dbw + chan.snr_db) > MAX_POWER_DB:
         raise ParameterError(
-            f"{chan.kind} band [{lo:g}, {hi:g}] exceeds the scenario band +-{fs/2:g}"
+            f"snr_db {chan.snr_db:g} over noise_power_dbw {noise_dbw:g} exceeds {MAX_POWER_DB:g} dB"
+        )
+    lo, hi = nominal_band(chan, fs)
+    if not -fs / 2.0 <= lo <= hi <= fs / 2.0:
+        raise ParameterError(
+            f"{chan.kind} band [{lo:g}, {hi:g}] is not inside the scenario band +-{fs/2:g}"
         )
     if chan.kind == "psk_burst" and chan.symbol_rate_hz <= 0:
         raise ParameterError("psk_burst needs symbol_rate_hz > 0")
@@ -324,16 +354,11 @@ def compose_scenario(
     its measured power inside the nominal band equals snr * (noise power
     falling in that band).
     """
-    fs = spec.sample_rate_hz
-    if fs <= 0 or spec.duration_s <= 0:
-        raise ParameterError("sample rate and duration must be positive")
+    spec.validate()
     if fft_size < 1:
         raise ParameterError(f"fft_size must be >= 1, got {fft_size}")
+    fs = spec.sample_rate_hz
     n = int(round(fs * spec.duration_s))
-    if n < 1:
-        raise ParameterError("scenario shorter than one sample")
-    for chan in spec.channels:
-        _validate_channel(chan, fs, spec.duration_s)
 
     root = np.random.SeedSequence(spec.seed)
     streams = root.spawn(len(spec.channels) + 1)
@@ -425,36 +450,15 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return out
 
 
-# each channel field's converter, from its annotation (None for ``bursts``)
-_CHANNEL_FIELDS = {f.name: {"float": float, "int": int, "str": str}.get(f.type)
-                   for f in fields(ChannelSpec)}
-
-
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """Build a spec, converting every number; ``ParameterError`` if malformed."""
-    try:
-        channels = []
-        for entry in data.get("channels", []):
-            entry = dict(entry)
-            bursts = [(float(start), float(dur)) for start, dur in entry.pop("bursts", [])]
-            entry = {k: _CHANNEL_FIELDS[k](v) if k in _CHANNEL_FIELDS else v
-                     for k, v in entry.items()}
-            channels.append(ChannelSpec(bursts=bursts, **entry))
-        return ScenarioSpec(
-            sample_rate_hz=float(data["sample_rate_hz"]),
-            duration_s=float(data["duration_s"]),
-            noise_power_dbw=float(data["noise_power_dbw"]),
-            channels=channels,
-            seed=int(data.get("seed", 0)),
-            center_freq_hz=float(data.get("center_freq_hz", 0.0)),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ParameterError(f"bad scenario config: {e}") from e
+    """Build and check a spec from parsed JSON; ``ParameterError`` if malformed."""
+    spec = from_json(ScenarioSpec, data, "bad scenario config")
+    spec.validate()
+    return spec
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    text = Path(path).read_text()
-    return scenario_from_dict(json.loads(text))
+    return scenario_from_dict(load_json(path, "scenario config"))
 
 
 def truth_to_dict(truth: GroundTruth) -> dict:

@@ -14,7 +14,7 @@ import pytest
 from hypersense import cli, pipeline, sensing
 from hypersense.classify import plan_from_dict
 from hypersense.errors import IqFormatError, ParameterError, UnsupportedMethodError
-from hypersense.iqio import read_iq
+from hypersense.iqio import IqRecording, read_iq, write_iq
 
 
 def scenario_dict(**over):
@@ -31,6 +31,11 @@ def scenario_dict(**over):
     }
     base.update(over)
     return base
+
+
+def scenario_channel(**over):
+    """The base scenario with ``over`` set on its one channel."""
+    return scenario_dict(channels=[dict(scenario_dict()["channels"][0], **over)])
 
 
 @pytest.fixture
@@ -78,14 +83,32 @@ class TestSimulate:
         path.write_text(json.dumps(bad))
         assert cli.main(["simulate", str(path), "-o", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("scenario", [
-        [1], scenario_dict(sample_rate_hz="x"),
-        scenario_dict(channels=[dict(scenario_dict()["channels"][0], snr_db="x")]),
-    ], ids=["not_an_object", "sample_rate_str", "snr_str"])
-    def test_malformed_scenario_exit2(self, tmp_path, capsys, scenario):
+    @pytest.mark.parametrize("scenario, message", [
+        ([1], "bad scenario config"),
+        (scenario_dict(sample_rate_hz="x"), "bad scenario config"),
+        (scenario_channel(snr_db="x"), "bad scenario config"),
+        (scenario_channel(snr_db="10"), "bad scenario config: channels[0].snr_db"),
+        (scenario_dict(seed=3.9), "bad scenario config: seed"),
+        (scenario_dict(noise_power_dbw="nan"), "bad scenario config: noise_power_dbw"),
+        (scenario_dict(noise_power_dbw=float("nan")), "bad scenario config: noise_power_dbw"),
+        (scenario_dict(extra=1), "bad scenario config: the top level has unknown field 'extra'"),
+        (scenario_dict(seed=-1), "seed must be >= 0"),
+        (scenario_channel(kind="ofdm", useful_length=0), "useful_length must be >= 1"),
+        (scenario_channel(kind="ofdm", cp_length=-4), "useful_length must be >= 1 and cp_length >= 0"),
+        (scenario_channel(kind="ofdm", used_subcarriers=-1), "used_subcarriers must be in"),
+        (scenario_channel(kind="ofdm", used_subcarriers=65), "used_subcarriers must be in"),
+        (scenario_channel(kind="dsss", chip_rate_hz=0.2e6, carrier_count=2,
+                          carrier_spacing_hz=-0.25e6), "carrier_spacing_hz must be >= 0"),
+        (scenario_channel(snr_db=4000), "snr_db 4000 over noise_power_dbw 0 exceeds 600 dB"),
+        (scenario_dict(noise_power_dbw=800), "noise_power_dbw must be <= 600"),
+    ], ids=["not_an_object", "sample_rate_str", "snr_str", "snr_numeric_str", "seed_float",
+            "noise_nan_str", "noise_nan", "unknown_top_key", "seed_negative", "useful_length_0",
+            "cp_length_negative", "used_subcarriers_negative", "used_subcarriers_above_useful",
+            "carrier_spacing_negative", "snr_overflow", "noise_overflow"])
+    def test_malformed_scenario_exit2(self, tmp_path, capsys, scenario, message):
         (tmp_path / "scn.json").write_text(json.dumps(scenario))
         assert cli.main(["simulate", str(tmp_path / "scn.json"), "-o", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err.startswith("error: bad scenario config")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert [p.name for p in tmp_path.iterdir()] == ["scn.json"]
 
     def test_run_as_module(self, tmp_path, scenario_file):
@@ -237,7 +260,21 @@ class TestIdentify:
     @pytest.mark.parametrize("plan", [[1], {"entries": [{
         "name": "ISM", "band_hz": [2.4e9, 2.5e9],
         "candidates": [{"label": "x", "expected_bw_hz": ["x", 2]}]}]},
-    ], ids=["not_an_object", "bandwidth_str"])
+        *({"entries": [{"name": "ISM", "band_hz": [2.4e9, 2.5e9], "candidates": [
+            {"label": "x", "expected_bw_hz": [0.2e6, 0.6e6], **candidate}]}]}
+          for candidate in (
+            {"cyclic_features_hz": [{"freq_hz": "1228800", "tolerance_hz": 1e4}]},
+            {"cyclic_features_hz": [{"freq_hz": 1228800.0, "tolerance_hz": float("inf")}]},
+            {"carrier_spacing_hz": float("nan")},
+            {"label": 5},
+            {"label": [1]},
+            {"cp_feature": {"useful_s": 3.2e-5, "cp_s": float("nan"), "tolerance_s": 2e-6}},
+            {"max_carriers": 2.0},
+            {"expected_bw_hz": [0.2e6, 0.4e6, 0.6e6]},
+        )),
+    ], ids=["not_an_object", "bandwidth_str", "cyclic_freq_str", "cyclic_tol_inf",
+            "carrier_spacing_nan", "label_int", "label_list", "cp_nan", "max_carriers_float",
+            "bandwidth_three_values"])
     def test_malformed_plan_exit2(self, tmp_path, recording_file, capsys, plan):
         (tmp_path / "plan.json").write_text(json.dumps(plan))
         out = tmp_path / "r.json"
@@ -246,13 +283,22 @@ class TestIdentify:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: bad channel plan")
 
-    @pytest.mark.parametrize("candidate", [
-        {"preferred_method": 5},
-        {"cyclic_features_hz": [{"freq_hz": 0.0, "tolerance_hz": 1e3}]},
-        {"cyclic_features_hz": [{"freq_hz": -1e6, "tolerance_hz": 1e3}]},
-        {"cyclic_features_hz": [{"freq_hz": 1e6, "tolerance_hz": -1.0}]},
-    ], ids=["method_int", "cyclic_freq_0", "cyclic_freq_negative", "cyclic_tol_negative"])
-    def test_bad_plan_value_exit2(self, tmp_path, recording_file, capsys, candidate):
+    @pytest.mark.parametrize("candidate, message", [
+        # a method that is not a string is a type error, caught by the loader
+        ({"preferred_method": 5}, "bad channel plan: entries[0].candidates[0].preferred_method"),
+        ({"cyclic_features_hz": [{"freq_hz": 0.0, "tolerance_hz": 1e3}]}, "w: "),
+        ({"cyclic_features_hz": [{"freq_hz": -1e6, "tolerance_hz": 1e3}]}, "w: "),
+        ({"cyclic_features_hz": [{"freq_hz": 1e6, "tolerance_hz": -1.0}]}, "w: "),
+        ({"expected_bw_hz": [0.0, 0.6e6]}, "w: expected_bw_hz"),
+        ({"max_carriers": 0}, "w: needs max_carriers >= 1"),
+        ({"carrier_spacing_hz": -1.25e6}, "w: needs max_carriers >= 1 and carrier_spacing_hz >= 0"),
+        ({"cp_feature": {"useful_s": 0.0, "cp_s": 8e-6, "tolerance_s": 2e-6}}, "w: cp_feature"),
+        ({"cp_feature": {"useful_s": 3.2e-5, "cp_s": -1e-6, "tolerance_s": 2e-6}}, "w: cp_feature"),
+        ({"cp_feature": {"useful_s": 3.2e-5, "cp_s": 8e-6, "tolerance_s": -1e-6}}, "w: cp_feature"),
+    ], ids=["method_int", "cyclic_freq_0", "cyclic_freq_negative", "cyclic_tol_negative",
+            "bandwidth_min_0", "max_carriers_0", "carrier_spacing_negative", "cp_useful_0",
+            "cp_negative", "cp_tol_negative"])
+    def test_bad_plan_value_exit2(self, tmp_path, recording_file, capsys, candidate, message):
         plan = {"name": "bad", "entries": [{
             "name": "ISM", "band_hz": [2.4e9, 2.4835e9],
             "candidates": [{"label": "w", "expected_bw_hz": [0.2e6, 0.6e6], **candidate}],
@@ -262,7 +308,7 @@ class TestIdentify:
         assert cli.main(["identify", str(recording_file), "--plan", str(tmp_path / "plan.json"),
                          "-o", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: w: ")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_plan_env_var_default(self, tmp_path, recording_file, plan_file, monkeypatch):
         monkeypatch.setenv(cli.PLAN_ENV_VAR, str(plan_file))
@@ -288,6 +334,24 @@ class TestIdentify:
         code = cli.main(["identify", str(recording_file), "--plan", str(plan_file), "-o", str(out)])
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("samples, flag, psd_rows", [
+        (np.zeros(40000, dtype=complex), "degenerate_spectrum", 1024),
+        (np.ones(100, dtype=complex), "insufficient_data", 0),
+        (np.zeros(0, dtype=complex), "insufficient_data", 0),
+    ], ids=["silence", "shorter_than_fft", "empty"])
+    def test_degenerate_recording_flagged(self, tmp_path, plan_file, samples, flag, psd_rows):
+        rec = tmp_path / "d.cf32"
+        write_iq(IqRecording(samples, 2e6, 2.44e9), rec)
+        out, psd, env = tmp_path / "r.json", tmp_path / "psd.csv", tmp_path / "env.csv"
+        assert cli.main(["identify", str(rec), "--plan", str(plan_file), "-o", str(out),
+                         "--emit-psd", str(psd), "--emit-envelope", str(env)]) == 0
+        report = json.loads(out.read_text())
+        assert report["components"] == []
+        assert report["noise_floor"] is None
+        assert report["flags"] == [flag]
+        assert len(psd.read_text().splitlines()) == psd_rows
+        assert len(env.read_text().splitlines()) == len(samples)
 
     def test_non_finite_sample_exit3(self, tmp_path, recording_file, plan_file, capsys):
         samples = np.fromfile(recording_file, dtype="<c8")

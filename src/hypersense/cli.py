@@ -6,8 +6,9 @@ recording), ``evaluate`` (Monte-Carlo confidence grid), ``nfspem`` (run
 the noise-floor detector alone over a CSV of values).
 
 Exit codes are decided in ``main`` from the error class alone: 0 success;
-2 ``ParameterError`` or ``OSError`` (unusable config, arguments or
-paths; config parse errors are line-anchored); 3 ``IqFormatError`` (IQ
+2 ``ParameterError``, ``OSError`` or ``MemoryError`` (unusable config,
+arguments or paths, a scenario too large for memory; config parse errors
+are line-anchored); 3 ``IqFormatError`` (malformed sidecar, IQ
 data/sidecar mismatch); 4 ``UnsupportedMethodError`` (a plan names a
 sensing method with no pipeline stage behind it).  Any other error
 surfaces as a traceback.
@@ -171,11 +172,7 @@ def cmd_nfspem(args: argparse.Namespace) -> None:
     except ValueError as e:  # every hypersense error is a ValueError
         raise ParameterError(f"{type(e).__name__}: {e}") from e
     out = {
-        "threshold_db": estimate.threshold_db,
-        "change_level": estimate.change_level,
-        "level_count": estimate.level_count,
-        "level_width_db": estimate.level_width,
-        "all_tied": estimate.all_tied,
+        **estimate.summary(),
         "components": [
             {
                 "start_index": c.start_index,
@@ -253,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_UNSUPPORTED_METHOD, str(e))
     except IqFormatError as e:
         return _fail(EXIT_IQ_FORMAT, str(e))
-    except (ParameterError, OSError) as e:
+    except (ParameterError, OSError, MemoryError) as e:
         return _fail(EXIT_CONFIG, str(e))
     return EXIT_OK
 

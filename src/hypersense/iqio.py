@@ -8,13 +8,13 @@ and the sample count; the count must match the data file size exactly.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IqFormatError
+from .errors import IqFormatError, ParameterError
+from .schema import from_json, load_json
 
 SAMPLE_FORMAT = "cf32le"
 BYTES_PER_SAMPLE = 8  # two float32
@@ -30,6 +30,17 @@ class IqRecording:
     description: str = ""
 
 
+@dataclass(kw_only=True)
+class Sidecar:
+    """The JSON sidecar, its fields in the order ``write_iq`` writes them."""
+
+    sample_rate_hz: float
+    center_freq_hz: float = 0.0
+    sample_format: str
+    sample_count: int
+    description: str = ""
+
+
 def sidecar_path(data_path: str | Path) -> Path:
     return Path(str(data_path) + ".json")
 
@@ -39,14 +50,11 @@ def write_iq(rec: IqRecording, data_path: str | Path) -> Path:
     data_path = Path(data_path)
     samples = np.ascontiguousarray(rec.samples, dtype="<c8")
     samples.tofile(data_path)
-    header = {
-        "sample_rate_hz": rec.sample_rate_hz,
-        "center_freq_hz": rec.center_freq_hz,
-        "sample_format": SAMPLE_FORMAT,
-        "sample_count": int(samples.size),
-    }
-    if rec.description:
-        header["description"] = rec.description
+    header = vars(Sidecar(sample_rate_hz=rec.sample_rate_hz, center_freq_hz=rec.center_freq_hz,
+                          sample_format=SAMPLE_FORMAT, sample_count=int(samples.size),
+                          description=rec.description))
+    if not rec.description:
+        del header["description"]
     side = sidecar_path(data_path)
     side.write_text(json.dumps(header, indent=2) + "\n")
     return side
@@ -55,34 +63,27 @@ def write_iq(rec: IqRecording, data_path: str | Path) -> Path:
 def read_iq(data_path: str | Path) -> IqRecording:
     """Read a cf32le data file, validating it against its sidecar.
 
-    Raises IqFormatError for a sidecar that disagrees with the data file,
-    a sample count that is not an integer, a sample rate that is not a
-    finite positive number, or a non-finite sample.
+    The sidecar goes through the JSON loader (``hypersense.schema``), so a
+    missing or unparsable sidecar, a missing field and a value of the wrong
+    type or not finite are rejected there; keys ``Sidecar`` does not declare
+    are ignored.  Every sidecar failure, a sidecar that disagrees with the
+    data file and a non-finite sample raise IqFormatError.
     """
     data_path = Path(data_path)
     side = sidecar_path(data_path)
     if not data_path.exists():
         raise FileNotFoundError(f"no such data file: {data_path}")
-    if not side.exists():
-        raise IqFormatError(f"missing sidecar {side}")
     try:
-        header = json.loads(side.read_text())
-    except json.JSONDecodeError as e:
-        raise IqFormatError(f"{side}: invalid sidecar JSON: {e}") from e
-
-    for key in ("sample_rate_hz", "sample_format", "sample_count"):
-        if key not in header:
-            raise IqFormatError(f"{side}: missing field {key!r}")
-    if header["sample_format"] != SAMPLE_FORMAT:
-        raise IqFormatError(
-            f"{side}: unsupported sample_format {header['sample_format']!r}"
-        )
-    count, rate = header["sample_count"], header["sample_rate_hz"]
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise IqFormatError(f"{side}: sample_count must be an integer >= 0, got {count!r}")
-    if (isinstance(rate, bool) or not isinstance(rate, (int, float))
-            or not (math.isfinite(rate) and rate > 0)):
-        raise IqFormatError(f"{side}: sample_rate_hz must be a finite number > 0, got {rate!r}")
+        header = from_json(Sidecar, load_json(side, "sidecar"), str(side), ignore_unknown=True)
+    except ParameterError as e:
+        raise IqFormatError(str(e)) from e
+    if header.sample_format != SAMPLE_FORMAT:
+        raise IqFormatError(f"{side}: unsupported sample_format {header.sample_format!r}")
+    count = header.sample_count
+    if count < 0:
+        raise IqFormatError(f"{side}: sample_count must be >= 0, got {count}")
+    if header.sample_rate_hz <= 0:
+        raise IqFormatError(f"{side}: sample_rate_hz must be > 0, got {header.sample_rate_hz}")
     actual = data_path.stat().st_size
     if count * BYTES_PER_SAMPLE != actual:
         raise IqFormatError(
@@ -93,9 +94,4 @@ def read_iq(data_path: str | Path) -> IqRecording:
     finite = np.isfinite(samples)
     if not finite.all():
         raise IqFormatError(f"{data_path}: sample {int(np.argmin(finite))} is not finite")
-    return IqRecording(
-        samples=samples,
-        sample_rate_hz=float(rate),
-        center_freq_hz=float(header.get("center_freq_hz", 0.0)),
-        description=header.get("description", ""),
-    )
+    return IqRecording(samples, header.sample_rate_hz, header.center_freq_hz, header.description)

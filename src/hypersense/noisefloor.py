@@ -71,6 +71,12 @@ class NoiseFloorEstimate:
     def level_count(self) -> int:
         return len(self.cusum)
 
+    def summary(self) -> dict:
+        """The floor as the report's ``noise_floor`` and ``nfspem`` show it."""
+        return {"threshold_db": self.threshold_db, "change_level": self.change_level,
+                "level_count": self.level_count, "level_width_db": self.level_width,
+                "all_tied": self.all_tied}
+
 
 @dataclass
 class DetectedComponent:

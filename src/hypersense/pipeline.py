@@ -334,14 +334,7 @@ def run_identification(
     return IdentificationReport(
         recording=recording,
         config=config.to_dict(),
-        noise_floor={
-            "threshold_db": estimate.threshold_db,
-            "change_level": estimate.change_level,
-            "level_count": estimate.level_count,
-            "level_width_db": estimate.level_width,
-            "all_tied": estimate.all_tied,
-            "averaging_count": psd.averaging_count,
-        },
+        noise_floor={**estimate.summary(), "averaging_count": psd.averaging_count},
         results=results,
         flags=flags,
         psd=psd,

@@ -1,9 +1,10 @@
 """JSON inputs: reading them, and building dataclasses checked against their annotations.
 
-Every JSON input (pipeline config, scenario, channel plan) enters through
-``load_json`` and ``from_json``, so one set of rules holds for all of them:
-numbers are finite and never bools, an int is accepted where a float is
-declared (and becomes a float), and a field without a default must be given.
+Every JSON input (pipeline config, scenario, channel plan, IQ sidecar)
+enters through ``load_json`` and ``from_json``, so one set of rules holds
+for all of them: numbers are finite and never bools, an int is accepted
+where a float is declared (and becomes a float), and a field without a
+default must be given.
 """
 
 from __future__ import annotations

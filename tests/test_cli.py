@@ -17,6 +17,10 @@ from hypersense.errors import IqFormatError, ParameterError, UnsupportedMethodEr
 from hypersense.iqio import IqRecording, read_iq, write_iq
 
 
+class RawJson(str):
+    """JSON text written into a document as it stands (``NaN``, ``1e400``)."""
+
+
 def scenario_dict(**over):
     base = {
         "sample_rate_hz": 2e6,
@@ -101,10 +105,11 @@ class TestSimulate:
                           carrier_spacing_hz=-0.25e6), "carrier_spacing_hz must be >= 0"),
         (scenario_channel(snr_db=4000), "snr_db 4000 over noise_power_dbw 0 exceeds 600 dB"),
         (scenario_dict(noise_power_dbw=800), "noise_power_dbw must be <= 600"),
+        (scenario_dict(duration_s=1e9), "Unable to allocate"),  # 2e15 samples: MemoryError
     ], ids=["not_an_object", "sample_rate_str", "snr_str", "snr_numeric_str", "seed_float",
             "noise_nan_str", "noise_nan", "unknown_top_key", "seed_negative", "useful_length_0",
             "cp_length_negative", "used_subcarriers_negative", "used_subcarriers_above_useful",
-            "carrier_spacing_negative", "snr_overflow", "noise_overflow"])
+            "carrier_spacing_negative", "snr_overflow", "noise_overflow", "duration_too_large"])
     def test_malformed_scenario_exit2(self, tmp_path, capsys, scenario, message):
         (tmp_path / "scn.json").write_text(json.dumps(scenario))
         assert cli.main(["simulate", str(tmp_path / "scn.json"), "-o", str(tmp_path / "x")]) == 2
@@ -324,16 +329,43 @@ class TestIdentify:
         ("sample_rate_hz", 0), ("sample_rate_hz", -2e6), ("sample_rate_hz", float("inf")),
         ("sample_rate_hz", float("nan")), ("sample_rate_hz", "fast"), ("sample_rate_hz", True),
         ("sample_count", "40000"), ("sample_count", 40000.5),
+        pytest.param("center_freq_hz", "x", id="center_freq_hz-str"),
+        pytest.param("center_freq_hz", [1], id="center_freq_hz-list"),
+        pytest.param("center_freq_hz", True, id="center_freq_hz-True"),
+        pytest.param("center_freq_hz", RawJson("NaN"), id="center_freq_hz-NaN"),
+        pytest.param("center_freq_hz", RawJson("1e400"), id="center_freq_hz-1e400"),
+        pytest.param("description", 5, id="description-5"),
+        pytest.param("description", [1, 2], id="description-list"),
+        pytest.param("description", None, id="description-null"),
+        pytest.param(None, b"5", id="bare_number"),
+        pytest.param(None, b"\xff\xfe{}", id="not_utf8"),
+        pytest.param(None, None, id="missing"),
     ])
-    def test_bad_sidecar_number_exit3(self, tmp_path, recording_file, plan_file, field, value):
+    def test_bad_sidecar_number_exit3(self, tmp_path, recording_file, plan_file, capsys,
+                                      field, value):
         side = Path(str(recording_file) + ".json")
-        header = json.loads(side.read_text())
-        header[field] = value
-        side.write_text(json.dumps(header))
+        if field is None:  # the whole sidecar as raw bytes, or no sidecar
+            side.unlink()
+            if value is not None:
+                side.write_bytes(value)
+        else:
+            header = json.loads(side.read_text())
+            header[field] = "@raw" if isinstance(value, RawJson) else value
+            side.write_text(json.dumps(header).replace('"@raw"', str(value)))
         out = tmp_path / "r.json"
         code = cli.main(["identify", str(recording_file), "--plan", str(plan_file), "-o", str(out)])
         assert code == 3
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(side) in err
+
+    def test_undeclared_sidecar_key_ignored(self, tmp_path, recording_file, plan_file):
+        side = Path(str(recording_file) + ".json")
+        side.write_text(json.dumps({**json.loads(side.read_text()), "antenna": "east"}))
+        out = tmp_path / "r.json"
+        assert cli.main(["identify", str(recording_file), "--plan", str(plan_file),
+                         "-o", str(out)]) == 0
+        assert "antenna" not in json.loads(out.read_text())["recording"]
 
     @pytest.mark.parametrize("samples, flag, psd_rows", [
         (np.zeros(40000, dtype=complex), "degenerate_spectrum", 1024),
@@ -362,6 +394,18 @@ class TestIdentify:
         assert code == 3
         assert not out.exists()
         assert "sample 1234" in capsys.readouterr().err
+
+
+class TestIqFormat:
+    def test_sidecar_round_trip(self, tmp_path):
+        rec = IqRecording(np.array([1 + 2j, -0.5j, 3.0]), 2e6, 2.44e9, "roof antenna, 12 dB LNA")
+        side = write_iq(rec, tmp_path / "r.cf32")
+        assert list(json.loads(side.read_text())) == [
+            "sample_rate_hz", "center_freq_hz", "sample_format", "sample_count", "description"]
+        back = read_iq(tmp_path / "r.cf32")
+        assert (back.sample_rate_hz, back.center_freq_hz) == (2e6, 2.44e9)
+        assert back.description == "roof antenna, 12 dB LNA"
+        np.testing.assert_array_equal(back.samples, rec.samples)
 
 
 class TestBadConfig:

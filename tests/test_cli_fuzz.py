@@ -1,0 +1,83 @@
+"""A fuzz of ``cli.main`` end to end: any recording, sidecar or CSV exits 0, 2, 3 or 4,
+no exception escapes, and a run that fails writes no output file."""
+
+import json
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hypersense import cli
+from hypersense.iqio import IqRecording, sidecar_path, write_iq
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from test_schema import json_values  # noqa: E402  (needs hypothesis)
+
+DATA = resources.files("hypersense.data")
+EXIT_CODES = {0, 2, 3, 4}
+
+
+def _noise(n, rng):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+SHAPES = {
+    "zero": lambda n, rng: np.zeros(n, dtype=complex),
+    "constant": lambda n, rng: np.full(n, 0.5 - 0.25j),
+    "tone": lambda n, rng: np.exp(2j * np.pi * 0.1 * np.arange(n)),
+    "noise": _noise,
+    "huge": lambda n, rng: 1e30 * _noise(n, rng),
+    "subnormal": lambda n, rng: 1e-40 * _noise(n, rng),  # below float32's smallest normal
+}
+
+
+@st.composite
+def sidecars(draw, sample_count):
+    """A valid sidecar with some of its leaves replaced by arbitrary JSON values."""
+    header = {"sample_rate_hz": 2e6, "center_freq_hz": 2.44e9, "sample_format": "cf32le",
+              "sample_count": sample_count, "description": "fuzz"}
+    for key in draw(st.lists(st.sampled_from(list(header)), unique=True, max_size=3)):
+        header[key] = draw(json_values)
+    return header
+
+
+csv_cells = st.floats().map(repr) | st.integers().map(str) | st.text("0123456789.e-+naif ", max_size=6)
+csv_text = st.lists(  # mostly numbers, one or two columns, sometimes junk
+    st.lists(st.floats(-1e3, 1e3).map(repr), min_size=1, max_size=2)
+    | st.lists(csv_cells, min_size=1, max_size=3),
+    max_size=300,
+).map(lambda rows: "\n".join(",".join(row) for row in rows))
+
+
+def _run(argv, out):
+    code = cli.main(argv)
+    hypothesis.event(f"exit {code}")
+    assert code in EXIT_CODES
+    assert code == 0 or not out.exists()
+
+
+@hypothesis.settings(max_examples=20, deadline=None, database=None)
+@hypothesis.given(shape=st.sampled_from(sorted(SHAPES)), n=st.integers(0, 2_000) | st.integers(2_000, 20_000),
+                  seed=st.integers(0, 2**32 - 1), plan=st.sampled_from(["ism24_plan.json",
+                                                                        "pcs1900_plan.json"]),
+                  data=st.data())
+def test_identify_any_recording_and_sidecar(shape, n, seed, plan, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        rec, out = Path(tmp) / "rec.cf32", Path(tmp) / "report.json"
+        write_iq(IqRecording(SHAPES[shape](n, np.random.default_rng(seed)), 2e6, 2.44e9), rec)
+        sidecar_path(rec).write_text(json.dumps(data.draw(sidecars(n))))
+        _run(["identify", str(rec), "--plan", str(DATA / plan), "-o", str(out)], out)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+@hypothesis.given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode)
+                  | csv_text.map(str.encode))
+def test_nfspem_any_csv(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        values, out = Path(tmp) / "values.csv", Path(tmp) / "floor.json"
+        values.write_bytes(content)
+        _run(["nfspem", str(values), "-o", str(out)], out)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 of every file ``simulate`` and ``identify`` write on the shipped inputs.
+"""SHA-256 of every file ``simulate``, ``identify`` and ``nfspem`` write on the shipped inputs.
 
     PYTHONPATH=src python3 tools/output_digests.py
 
@@ -8,7 +8,8 @@ running it against two source trees and diffing the two outputs checks that
 they write byte-identical files.  Each shipped scenario is simulated at its
 own seed and at ``--seed 11`` and ``--seed 12``, and the recording is
 identified against the matching shipped plan with ``--emit-psd``,
-``--emit-cyclic`` and ``--emit-envelope``.  One line per written file:
+``--emit-cyclic`` and ``--emit-envelope``; ``nfspem`` then runs over the
+written ``psd.csv``.  One line per written file:
 ``<scenario>@<seed> <file> <sha256>``.
 """
 
@@ -27,7 +28,7 @@ CASES = (("ism_burst_scenario.json", "ism24_plan.json"),
          ("pcs_multicarrier_scenario.json", "pcs1900_plan.json"))
 SEEDS = (None, 11, 12)  # None: the scenario's own seed
 FILES = ("rec.cf32", "rec.cf32.json", "rec.cf32.truth.json", "report.json",
-         "psd.csv", "cyclic.csv", "envelope.csv")
+         "psd.csv", "cyclic.csv", "envelope.csv", "nfspem.json")
 
 
 def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
@@ -38,6 +39,7 @@ def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
         ["identify", str(rec), "--plan", str(plan), "-o", str(work / "report.json"),
          "--emit-psd", str(work / "psd.csv"), "--emit-cyclic", str(work / "cyclic.csv"),
          "--emit-envelope", str(work / "envelope.csv")],
+        ["nfspem", str(work / "psd.csv"), "-o", str(work / "nfspem.json")],
     )
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):  # keep stdout to the digests

@@ -167,6 +167,7 @@ def channelize(
         sample_rate_hz=fs / factor,
         center_freq_hz=component.center,
         description=iq.description,
+        transient=-(-(taps.size // 2) // factor),
     )
 
 

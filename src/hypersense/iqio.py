@@ -28,6 +28,8 @@ class IqRecording:
     sample_rate_hz: float
     center_freq_hz: float = 0.0
     description: str = ""
+    # samples at each end that a filter's transient disturbs (0: unfiltered)
+    transient: int = 0
 
 
 @dataclass(kw_only=True)

@@ -13,7 +13,7 @@ detection (time axis) and peak picking on cyclic-frequency profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,12 +238,17 @@ def detect(
     samples: np.ndarray,
     axis: tuple[float, float],
     params: NoiseFloorParams | None = None,
+    trim: int = 0,
 ) -> tuple[NoiseFloorEstimate, list[DetectedComponent]]:
-    """Full pass: level histogram, change point, component extraction."""
+    """Full pass: level histogram, change point, component extraction.
+
+    The histogram and change point leave out ``trim`` samples at each end
+    (unless fewer than two would remain); components come from all samples.
+    """
     params = params or NoiseFloorParams()
     params.validate()
-    hist = segment_levels(samples, params.k)
-    estimate = cusum_change_point(hist)
+    core = samples[trim:len(samples) - trim] if len(samples) - 2 * trim >= 2 else samples
+    estimate = replace(cusum_change_point(segment_levels(core, params.k)), sample_count=len(samples))
     components = extract_components(
         samples, axis, estimate, params.min_width_bins, params.merge_gap_bins
     )

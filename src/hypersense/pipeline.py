@@ -118,7 +118,10 @@ def detect_bursts(
 ) -> tuple[list[BurstRecord], list[str]]:
     """Envelope-domain run of the floor detector; bursts are components.
 
-    A constant envelope (a continuous tone, or pure silence) has no level
+    The threshold is estimated without the envelope's ends, the wider of
+    the smoothing half-window (which repeats the end samples) and the filter
+    transient: a dip there under the noise would scale the levels.  A
+    constant envelope (a continuous tone, or pure silence) has no level
     structure to segment; that is reported as zero bursts with the
     ``continuous_signal`` flag rather than as an error.
     """
@@ -128,8 +131,9 @@ def detect_bursts(
         min_width_bins=max(3, config.envelope_smooth_len // 2),
         merge_gap_bins=config.envelope_smooth_len,
     )
+    trim = max(config.envelope_smooth_len // 2, iq.transient)
     try:
-        estimate, comps = detect(env_db, (t0, dt), params)
+        estimate, comps = detect(env_db, (t0, dt), params, trim)
     except DegenerateSpectrumError:
         return [], ["continuous_signal"]
     flags = ["nfspem_tied"] if estimate.all_tied else []

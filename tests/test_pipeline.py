@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hypersense import classify, pipeline, sensing
+from hypersense import classify, dsp, pipeline, sensing
 from hypersense import wavegen as wg
 from hypersense.iqio import IqRecording
 
@@ -153,6 +153,25 @@ class TestDetectBursts:
         for record, (start, length) in zip(records, truth.burst_intervals[0]):
             assert abs(record.start_s - start * dt) <= 128 * dt
             assert abs(record.duration_s - length * dt) <= 2 * 128 * dt
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_dip_keeps_burst_count(self, seed):
+        # ten 12 dB bursts in unit-power noise; the first and last half-windows
+        # are a constant 4 dB under the noise, so the smoothed envelope's ends
+        # dip about 4 dB below its noise median, as a filter ramp makes them
+        n, nb, blen = 40000, 10, 1000
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+        for s in np.arange(nb) * (n // nb) + (n // nb - blen) // 2:
+            x[s:s + blen] += 10 ** (12 / 20) * np.exp(2j * np.pi * rng.random(blen))
+        cfg = pipeline.PipelineConfig()
+        half = cfg.envelope_smooth_len // 2
+        x[:half] = x[-half:] = 10 ** (-4 / 20)
+        rec = IqRecording(x, 1e6, 0.0)
+        env_db, _ = dsp.power_envelope(rec, cfg.envelope_smooth_len)
+        assert np.median(env_db) - env_db[[0, -1]] == pytest.approx([4.0, 4.0], abs=0.5)
+        records, _ = pipeline.detect_bursts(rec, cfg)
+        assert len(records) == nb
 
     def test_continuous_tone_flagged(self):
         n = 20000

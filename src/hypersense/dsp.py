@@ -2,7 +2,9 @@
 
 Everything here is a pure function of its inputs.  Power quantities are
 floored at ``EPS_POWER`` before dB conversion so downstream level
-segmentation never sees -inf.
+segmentation never sees -inf.  The channelizer is a fast-convolution filter
+bank: one FFT of the recording serves every channel, each filtered
+circularly on it and inverse-transformed at its decimated length, scaled 1/D.
 """
 
 from __future__ import annotations
@@ -124,18 +126,44 @@ def design_lowpass(
     return sig.firwin(numtaps, bw_hz / 2.0, window=("kaiser", beta), fs=fs_hz)
 
 
+def decimation(fs_hz: float, passband_hz: float) -> int:
+    """Largest power of two D whose output rate fs/D is still >= 2.5x the passband."""
+    factor = 1
+    while fs_hz / (factor * 2) >= 2.5 * passband_hz:
+        factor *= 2
+    return factor
+
+
+def recording_spectrum(iq: IqRecording, factor: int) -> np.ndarray:
+    """FFT of the samples zero-padded to a multiple of ``factor`` points; it
+    serves every channel whose (power-of-two) decimation divides ``factor``."""
+    return np.fft.fft(iq.samples, -(-len(iq.samples) // factor) * factor)
+
+
 def channelize(
     iq: IqRecording,
     component: DetectedComponent,
     guard_factor: float = 1.25,
     stop_atten_db: float = 60.0,
+    spectrum: np.ndarray | None = None,
 ) -> IqRecording:
-    """Isolate one detected component: mix to DC, lowpass, decimate.
+    """Isolate one detected component: shift to DC, lowpass, decimate.
 
     ``component.center`` is an absolute frequency; the baseband offset is
     taken against the recording's center frequency.  The passband is the
     component width times ``guard_factor``.  Decimation keeps the largest
-    power-of-two divisor whose output rate is still >= 2.5x the passband.
+    power-of-two divisor D whose output rate is still >= 2.5x the passband.
+
+    A fast-convolution filter bank (Harris, Dick & Rice 2003; Renfors,
+    Yli-Kaakinen & Harris 2014) on the recording's N-point ``spectrum``
+    (``recording_spectrum``; computed here if not shared): the N/D bins
+    around the offset's nearest bin are weighted by the Kaiser taps'
+    zero-phase response, read off the N-point grid at each bin's distance
+    from the exact offset, inverse-transformed at length N/D and scaled by
+    1/D; the sub-bin remainder is mixed out at the decimated rate.
+    Filtering is circular: the capture's two ends leak into each other over
+    ``transient`` output samples.  Bins beyond N/D are dropped, not aliased.
+    The output has ceil(n/D) samples at fs/D.
     """
     if guard_factor <= 0:
         raise ParameterError("guard_factor must be positive")
@@ -146,28 +174,32 @@ def channelize(
             f"component center {component.center:g} Hz outside the recording band"
         )
     bw = min(component.width * guard_factor, fs)
-
-    x = np.asarray(iq.samples)
-    if abs(offset) > 0.0:
-        n = np.arange(x.size)
-        x = x * np.exp(-2j * np.pi * offset / fs * n)
-
     transition = min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9)
     taps = design_lowpass(bw, fs, transition, stop_atten_db)
-    # centered convolution compensates the group delay
-    y = x * taps[0] if taps.size == 1 else sig.fftconvolve(x, taps, mode="same")
-
-    factor = 1
-    while fs / (factor * 2) >= 2.5 * bw:
-        factor *= 2
-    if factor > 1:
-        y = y[::factor]
+    factor = decimation(fs, bw)
+    if spectrum is None:
+        spectrum = recording_spectrum(iq, factor)
+    size = spectrum.size
+    if size % factor or size < len(iq.samples):
+        raise ParameterError(f"a {size}-point spectrum does not serve decimation by {factor}")
+    kept = size // factor
+    bins = np.fft.ifftshift(np.arange(kept) - kept // 2)  # FFT order around DC
+    k0 = int(round(offset * size / fs))
+    delta = offset * size / fs - k0  # the offset's sub-bin remainder, in bins
+    half = taps.size // 2
+    # the taps centred on sample 0 and folded onto the grid are real and even,
+    # so their spectrum is the real, even zero-phase response
+    response = np.fft.rfft(np.bincount((np.arange(taps.size) - half) % size, taps, size)).real
+    weights = np.interp(np.abs(bins - delta), np.arange(response.size), response)
+    y = np.fft.ifft(spectrum[(bins + k0) % size] * weights)[: -(-len(iq.samples) // factor)] / factor
+    if delta:
+        y *= np.exp(-2j * np.pi * delta * factor / size * np.arange(y.size))
     return IqRecording(
         samples=y,
         sample_rate_hz=fs / factor,
         center_freq_hz=component.center,
         description=iq.description,
-        transient=-(-(taps.size // 2) // factor),
+        transient=-(-half // factor),
     )
 
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, sensing
-from .dsp import WINDOWS, PowerSpectrum, channelize, power_envelope, welch_psd
+from .dsp import (
+    WINDOWS, PowerSpectrum, channelize, decimation, power_envelope, recording_spectrum, welch_psd,
+)
 from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
@@ -234,6 +236,7 @@ def _process_component(
     component: DetectedComponent,
     plan: classify.ChannelPlan,
     config: PipelineConfig,
+    spectrum: np.ndarray | None,
 ) -> ComponentResult:
     try:
         candidates = classify.scb_match(component, plan)
@@ -252,6 +255,7 @@ def _process_component(
                 component,
                 guard_factor=guard,
                 stop_atten_db=config.stop_atten_db,
+                spectrum=spectrum,
             )
         else:
             channelized = iq
@@ -329,8 +333,14 @@ def run_identification(
     noise_bins = psd.values_db <= estimate.threshold_db
     noise_var_fullband = float(np.mean(linear[noise_bins])) if noise_bins.any() else float(np.mean(linear))
 
+    # one FFT serves every channel, padded to a multiple of the largest decimation
+    # (narrowest component, smallest guard), which every power-of-two D divides
+    spectrum = None
+    if config.channelize_enabled and components:
+        narrowest = min(min(c.width for c in components) * config.guard_factor, iq.sample_rate_hz)
+        spectrum = recording_spectrum(iq, decimation(iq.sample_rate_hz, narrowest))
     results = [
-        _process_component(iq, estimate, noise_var_fullband, c, plan, config)
+        _process_component(iq, estimate, noise_var_fullband, c, plan, config, spectrum)
         for c in components
     ]
 

@@ -111,9 +111,61 @@ class TestDesignBandpass:
             dsp.design_lowpass(1e6, 5e6, 0.0)
 
 
+def direct_channelize(iq, component, guard_factor=1.25, stop_atten_db=60.0):
+    """The time-domain channelizer the filter bank replaced, kept as its oracle.
+
+    Mix the whole recording to DC at the full rate, convolve with the Kaiser
+    taps (``mode="same"`` compensates the group delay), keep every D-th sample.
+    """
+    fs = iq.sample_rate_hz
+    offset = component.center - iq.center_freq_hz
+    bw = min(component.width * guard_factor, fs)
+    taps = dsp.design_lowpass(bw, fs, min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9), stop_atten_db)
+    x = iq.samples * np.exp(-2j * np.pi * offset / fs * np.arange(len(iq.samples)))
+    factor = 1
+    while fs / (factor * 2) >= 2.5 * bw:
+        factor *= 2
+    return sig.fftconvolve(x, taps, mode="same")[::factor], factor
+
+
 class TestChannelize:
     def _component(self, center, width):
         return DetectedComponent(0, 0, center, width, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [40000, 40003])
+    @pytest.mark.parametrize("sub_bin", [0.0, 0.37])
+    @pytest.mark.parametrize("width, factor", [(300e3, 1), (60e3, 4), (12e3, 16), (3e3, 64)])
+    def test_matches_direct_channelizer(self, n, sub_bin, width, factor):
+        # white noise fills the passband and both transition bands, where a
+        # filter centred off the exact offset would show first
+        fs = 1e6
+        rng = np.random.default_rng(3)
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+        size = -(-n // factor) * factor
+        comp = self._component(2.44e9 + (round(200e3 * size / fs) + sub_bin) * fs / size, width)
+        iq = rec(x, fs, fc=2.44e9)
+        out = dsp.channelize(iq, comp)
+        want, want_factor = direct_channelize(iq, comp)
+        assert want_factor == factor
+        assert out.sample_rate_hz == fs / factor
+        assert len(out.samples) == len(want) == -(-n // factor)
+        core = slice(out.transient, len(want) - out.transient)
+        rms = np.sqrt(np.mean(np.abs(want[core]) ** 2))
+        assert np.max(np.abs(out.samples[core] - want[core])) <= 5e-3 * rms
+
+    def test_shared_spectrum_is_bitwise_identical(self):
+        fs, n = 1e6, 40000  # a multiple of 64, the largest decimation below
+        rng = np.random.default_rng(4)
+        iq = rec(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
+        shared = dsp.recording_spectrum(iq, 64)
+        for width in (300e3, 60e3, 12e3, 3e3):
+            comp = self._component(123456.7, width)
+            alone = dsp.channelize(iq, comp)
+            assert np.array_equal(dsp.channelize(iq, comp, spectrum=shared).samples, alone.samples)
+        # a spectrum whose length the decimation does not divide is refused
+        odd = rec(rng.normal(size=n + 3) + 0j, fs)
+        with pytest.raises(ParameterError):
+            dsp.channelize(odd, comp, spectrum=dsp.recording_spectrum(odd, 1))
 
     def test_inband_tone_survives(self):
         fs, n = 10e6, 40000

@@ -134,6 +134,27 @@ class TestRunIdentification:
         d = pipeline.report_to_dict(report)
         assert "timing_s" not in d
 
+    @pytest.mark.parametrize("enabled, ffts", [(True, 1), (False, 0)])
+    def test_one_recording_fft_only_when_channelizing(self, monkeypatch, enabled, ffts):
+        channels = [wg.ChannelSpec(kind="rect_noise", center_freq_hz=f, snr_db=15.0,
+                                   bandwidth_hz=0.2e6) for f in (-0.6e6, 0.5e6)]
+        spec = wg.ScenarioSpec(2e6, 0.03, 0.0, channels, seed=9, center_freq_hz=2.44e9)
+        rec, _ = wg.compose_scenario(spec)
+        whole = []  # transforms of the whole recording; Welch's segments are not
+        fft = np.fft.fft
+
+        def counting_fft(a, *args, **kwargs):
+            if np.ndim(a) == 1 and np.size(a) >= rec.samples.size:
+                whole.append(np.size(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        report = pipeline.run_identification(
+            rec, pipeline.PipelineConfig(channelize_enabled=enabled), ism_plan())
+        assert sum(r.component.width > 0.1e6 for r in report.results) == 2
+        assert all(r.error is None for r in report.results)
+        assert len(whole) == ffts
+
 
 class TestDetectBursts:
     def _burst_recording(self, seed=1, snr_db=10.0):

@@ -18,6 +18,9 @@ from .schema import from_json, load_json
 
 SAMPLE_FORMAT = "cf32le"
 BYTES_PER_SAMPLE = 8  # two float32
+# bound on a sidecar's rate and |centre|: far above any radio capture, and far
+# enough below the float maximum that every frequency derived from them is finite
+MAX_FREQ_HZ = 1e12
 
 
 @dataclass
@@ -68,8 +71,9 @@ def read_iq(data_path: str | Path) -> IqRecording:
     The sidecar goes through the JSON loader (``hypersense.schema``), so a
     missing or unparsable sidecar, a missing field and a value of the wrong
     type or not finite are rejected there; keys ``Sidecar`` does not declare
-    are ignored.  Every sidecar failure, a sidecar that disagrees with the
-    data file and a non-finite sample raise IqFormatError.
+    are ignored.  Every sidecar failure, a rate or centre beyond
+    ``MAX_FREQ_HZ``, a sidecar that disagrees with the data file and a
+    non-finite sample raise IqFormatError.
     """
     data_path = Path(data_path)
     side = sidecar_path(data_path)
@@ -84,8 +88,12 @@ def read_iq(data_path: str | Path) -> IqRecording:
     count = header.sample_count
     if count < 0:
         raise IqFormatError(f"{side}: sample_count must be >= 0, got {count}")
-    if header.sample_rate_hz <= 0:
-        raise IqFormatError(f"{side}: sample_rate_hz must be > 0, got {header.sample_rate_hz}")
+    if not 0 < header.sample_rate_hz <= MAX_FREQ_HZ:
+        raise IqFormatError(
+            f"{side}: sample_rate_hz must be in (0, {MAX_FREQ_HZ:g}], got {header.sample_rate_hz}")
+    if abs(header.center_freq_hz) > MAX_FREQ_HZ:
+        raise IqFormatError(
+            f"{side}: |center_freq_hz| must be <= {MAX_FREQ_HZ:g}, got {header.center_freq_hz}")
     actual = data_path.stat().st_size
     if count * BYTES_PER_SAMPLE != actual:
         raise IqFormatError(

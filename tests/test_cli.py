@@ -334,6 +334,9 @@ class TestIdentify:
         pytest.param("center_freq_hz", True, id="center_freq_hz-True"),
         pytest.param("center_freq_hz", RawJson("NaN"), id="center_freq_hz-NaN"),
         pytest.param("center_freq_hz", RawJson("1e400"), id="center_freq_hz-1e400"),
+        pytest.param("center_freq_hz", 1e308, id="center_freq_hz-1e308"),
+        pytest.param("center_freq_hz", -2e12, id="center_freq_hz-minus-2e12"),
+        pytest.param("sample_rate_hz", 1.7e308, id="sample_rate_hz-1.7e308"),
         pytest.param("description", 5, id="description-5"),
         pytest.param("description", [1, 2], id="description-list"),
         pytest.param("description", None, id="description-null"),

@@ -155,15 +155,12 @@ def channelize(
     power-of-two divisor D whose output rate is still >= 2.5x the passband.
 
     A fast-convolution filter bank (Harris, Dick & Rice 2003; Renfors,
-    Yli-Kaakinen & Harris 2014) on the recording's N-point ``spectrum``
-    (``recording_spectrum``; computed here if not shared): the N/D bins
-    around the offset's nearest bin are weighted by the Kaiser taps'
-    zero-phase response, read off the N-point grid at each bin's distance
-    from the exact offset, inverse-transformed at length N/D and scaled by
-    1/D; the sub-bin remainder is mixed out at the decimated rate.
-    Filtering is circular: the capture's two ends leak into each other over
-    ``transient`` output samples.  Bins beyond N/D are dropped, not aliased.
-    The output has ceil(n/D) samples at fs/D.
+    Yli-Kaakinen & Harris 2014) on the N-point ``recording_spectrum``, which
+    callers may share: the N/D bins around the offset are weighted by the
+    taps' zero-phase response at each bin's distance from the offset,
+    inverse-transformed at length N/D and scaled by 1/D.  Filtering is
+    circular: the capture's ends leak into each other over ``transient``
+    output samples.  The output has ceil(n/D) samples at fs/D.
     """
     if guard_factor <= 0:
         raise ParameterError("guard_factor must be positive")
@@ -192,8 +189,7 @@ def channelize(
     response = np.fft.rfft(np.bincount((np.arange(taps.size) - half) % size, taps, size)).real
     weights = np.interp(np.abs(bins - delta), np.arange(response.size), response)
     y = np.fft.ifft(spectrum[(bins + k0) % size] * weights)[: -(-len(iq.samples) // factor)] / factor
-    if delta:
-        y *= np.exp(-2j * np.pi * delta * factor / size * np.arange(y.size))
+    y *= np.exp(-2j * np.pi * delta * factor / size * np.arange(y.size))
     return IqRecording(
         samples=y,
         sample_rate_hz=fs / factor,

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, sensing
-from .dsp import (
-    WINDOWS, PowerSpectrum, channelize, decimation, power_envelope, recording_spectrum, welch_psd,
-)
+from .dsp import WINDOWS, PowerSpectrum, channelize, decimation, power_envelope, recording_spectrum, welch_psd
 from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
@@ -337,7 +335,7 @@ def run_identification(
     # (narrowest component, smallest guard), which every power-of-two D divides
     spectrum = None
     if config.channelize_enabled and components:
-        narrowest = min(min(c.width for c in components) * config.guard_factor, iq.sample_rate_hz)
+        narrowest = min(c.width for c in components) * config.guard_factor
         spectrum = recording_spectrum(iq, decimation(iq.sample_rate_hz, narrowest))
     results = [
         _process_component(iq, estimate, noise_var_fullband, c, plan, config, spectrum)

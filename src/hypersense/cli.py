@@ -33,6 +33,10 @@ from .schema import load_json
 
 PLAN_ENV_VAR = "HS_PLAN_PATH"
 
+# the largest |value| (dB) and |axis| in an nfspem CSV: the centroid's
+# weights 10 ** (value / 10) and axis positions then stay finite
+NFSPEM_MAX_DB, NFSPEM_MAX_AXIS = 1000.0, 1e12
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IQ_FORMAT = 3
@@ -141,7 +145,6 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         resamples=args.resamples,
         seed=args.seed if args.seed is not None else 0,
         fft_size=1024 if args.fft_size is None else args.fft_size,
-        workers=args.workers,
     )
     evaluation.write_grid_csv(cells, args.out)
     print(f"wrote {args.out} ({len(cells)} cells)")
@@ -153,14 +156,15 @@ def cmd_nfspem(args: argparse.Namespace) -> None:
         rows = [line.strip() for line in path.read_text().splitlines() if line.strip()]
         columns = [row.split(",") for row in rows]
         values = np.array([float(col[-1]) for col in columns])
-        if columns and len(columns[0]) > 1:
-            axis_vals = np.array([float(col[0]) for col in columns])
-            step = float(axis_vals[1] - axis_vals[0]) if len(axis_vals) > 1 else 1.0
-            axis = (float(axis_vals[0]), step)
-        else:
-            axis = (0.0, 1.0)
+        with_axis = bool(columns) and len(columns[0]) > 1
+        axis_vals = np.array([float(col[0]) for col in columns] if with_axis else [0.0, 1.0])
     except (ValueError, IndexError) as e:
         raise ParameterError(f"{path}: not a CSV of numbers: {e}") from e
+    if not (np.all(np.abs(values) <= NFSPEM_MAX_DB) and np.all(np.abs(axis_vals) <= NFSPEM_MAX_AXIS)):
+        raise ParameterError(f"{path}: values must be within +-{NFSPEM_MAX_DB:g} dB "
+                             f"and axis values within +-{NFSPEM_MAX_AXIS:g}")
+    step = float(axis_vals[1] - axis_vals[0]) if len(axis_vals) > 1 else 1.0
+    axis = (float(axis_vals[0]), step)
 
     params = NoiseFloorParams(
         k=args.k if args.k is not None else 1.0,
@@ -225,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--occ-list", required=True, help="comma-separated occupancy fractions")
     p.add_argument("--trials", type=int, default=300)
     p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("nfspem", help="run the noise-floor detector over a CSV of values")
-    p.add_argument("values_csv", help="CSV: either `value` or `axis,value` per line")
+    p.add_argument("values_csv", help="CSV: either `value` or `axis,value` per line, "
+                   f"|value| <= {NFSPEM_MAX_DB:g} dB, |axis| <= {NFSPEM_MAX_AXIS:g}")
     p.add_argument("--min-width", type=int, default=3)
     p.add_argument("--merge-gap", type=int, default=2)
     p.add_argument("-o", "--out", default=None, help="write JSON here instead of stdout")

@@ -1,14 +1,16 @@
 """Spectral estimation, channelization and envelope computation.
 
-Everything here is a pure function of its inputs.  Power quantities are
-floored at ``EPS_POWER`` before dB conversion so downstream level
-segmentation never sees -inf.  The channelizer is a fast-convolution filter
-bank: one FFT of the recording serves every channel, each filtered
-circularly on it and inverse-transformed at its decimated length, scaled 1/D.
+Everything here but ``available_cores`` is a pure function of its inputs.
+Power quantities are floored at ``EPS_POWER`` before dB conversion so
+downstream level segmentation never sees -inf.  The channelizer is a
+fast-convolution filter bank: one FFT of the recording serves every channel,
+each filtered circularly on it and inverse-transformed at its decimated
+length, scaled 1/D.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,14 @@ from .noisefloor import DetectedComponent
 EPS_POWER = 1e-30
 
 WINDOWS = ("hann", "hamming", "rect")
+
+
+def available_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def db10(p: np.ndarray | float) -> np.ndarray | float:

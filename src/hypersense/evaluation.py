@@ -62,12 +62,13 @@ the confidence columns that say nothing about the detector's SNR trend.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import dsp
 from .dsp import welch_psd
 from .errors import ParameterError
 from .noisefloor import NoiseFloorParams, detect
@@ -180,11 +181,6 @@ def _bootstrap_ci(
     return float(np.quantile(means, 0.025)), float(np.quantile(means, 0.975))
 
 
-def _trial_confidence(args: tuple[float, float, int, int]) -> float:
-    snr, occ, fft_size, seed = args
-    return run_trial(snr, occ, fft_size, seed).confidence
-
-
 def confidence_grid(
     snr_list: list[float],
     occ_list: list[float],
@@ -192,7 +188,6 @@ def confidence_grid(
     resamples: int = 1000,
     seed: int = 0,
     fft_size: int = 1024,
-    workers: int | None = None,
 ) -> list[ConfidenceCell]:
     """Mean declaration confidence with bootstrap CI per (snr, occupancy) cell.
 
@@ -200,8 +195,10 @@ def confidence_grid(
     detector's signal and noise declarations (module docstring), so a
     vacant band scores 0.5 in every trial that detects anything.
 
-    Per-trial seeds derive from (seed, cell, trial), so results are
-    identical whatever the worker count (workers are separate processes).
+    Every trial of the grid runs on one thread pool, one thread per core
+    this process may use.  Per-trial seeds derive from (seed, cell, trial)
+    and scores are read back in order, so results do not depend on the
+    core count.
     """
     if trials < 2:
         raise ParameterError("need at least 2 trials per cell")
@@ -209,42 +206,27 @@ def confidence_grid(
         raise ParameterError("need at least 1 bootstrap resample")
     if fft_size < 1:
         raise ParameterError(f"fft_size must be >= 1, got {fft_size}")
-    pool = ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else None
-    cells = []
-    cell_index = 0
+    grid = [(snr, occ) for snr in snr_list for occ in occ_list]
+    jobs = [
+        (snr, occ, fft_size, int(np.random.SeedSequence([seed, cell_index, t]).generate_state(1)[0]))
+        for cell_index, (snr, occ) in enumerate(grid)
+        for t in range(trials)
+    ]
+    pool = ThreadPoolExecutor(dsp.available_cores())
     try:
-        for snr in snr_list:
-            for occ in occ_list:
-                trial_seeds = [
-                    int(np.random.SeedSequence([seed, cell_index, t]).generate_state(1)[0])
-                    for t in range(trials)
-                ]
-                jobs = [(snr, occ, fft_size, s) for s in trial_seeds]
-                if pool is not None:
-                    scores = np.fromiter(
-                        pool.map(_trial_confidence, jobs, chunksize=16), dtype=float
-                    )
-                else:
-                    scores = np.fromiter(map(_trial_confidence, jobs), dtype=float)
-                ci_rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, cell_index, 2**31])
-                )
-                lo, hi = _bootstrap_ci(scores, resamples, ci_rng)
-                mean = float(scores.mean())
-                cells.append(
-                    ConfidenceCell(
-                        snr_db=float(snr),
-                        occupancy_fraction=float(occ),
-                        trials=trials,
-                        confidence_mean=mean,
-                        ci_low=min(lo, mean),
-                        ci_high=max(hi, mean),
-                    )
-                )
-                cell_index += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        all_scores = np.fromiter(
+            pool.map(lambda job: run_trial(*job).confidence, jobs), dtype=float, count=len(jobs)
+        )
+    finally:  # a failed trial or an interrupt drops the trials not yet started
+        pool.shutdown(cancel_futures=True)
+    cells = []
+    for cell_index, ((snr, occ), scores) in enumerate(zip(grid, all_scores.reshape(-1, trials))):
+        ci_rng = np.random.default_rng(np.random.SeedSequence([seed, cell_index, 2**31]))
+        lo, hi = _bootstrap_ci(scores, resamples, ci_rng)
+        mean = float(scores.mean())
+        cells.append(ConfidenceCell(
+            snr_db=float(snr), occupancy_fraction=float(occ), trials=trials,
+            confidence_mean=mean, ci_low=min(lo, mean), ci_high=max(hi, mean)))
     return cells
 
 

@@ -118,12 +118,12 @@ def detect_bursts(
 ) -> tuple[list[BurstRecord], list[str]]:
     """Envelope-domain run of the floor detector; bursts are components.
 
-    The threshold is estimated without the envelope's ends, the wider of
-    the smoothing half-window (which repeats the end samples) and the filter
-    transient: a dip there under the noise would scale the levels.  A
-    constant envelope (a continuous tone, or pure silence) has no level
-    structure to segment; that is reported as zero bursts with the
-    ``continuous_signal`` flag rather than as an error.
+    The threshold is estimated without the envelope's ends, the filter
+    transient plus the smoothing half-window that spreads it: a dip there
+    under the noise would scale the levels.  A constant envelope (a
+    continuous tone, or pure silence) has no level structure to segment;
+    that is reported as zero bursts with the ``continuous_signal`` flag
+    rather than as an error.
     """
     env_db, (t0, dt) = power_envelope(iq, config.envelope_smooth_len)
     params = NoiseFloorParams(
@@ -131,7 +131,7 @@ def detect_bursts(
         min_width_bins=max(3, config.envelope_smooth_len // 2),
         merge_gap_bins=config.envelope_smooth_len,
     )
-    trim = max(config.envelope_smooth_len // 2, iq.transient)
+    trim = iq.transient + config.envelope_smooth_len // 2
     try:
         estimate, comps = detect(env_db, (t0, dt), params, trim)
     except DegenerateSpectrumError:

@@ -14,7 +14,6 @@ floor detector, so the detection behavior is uniform across axes.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import scipy.fft as sfft
 from scipy import signal as sig
 from scipy.stats import norm
 
+from . import dsp
 from .dsp import EPS_POWER, PowerSpectrum, db10
 from .errors import (
     DegenerateSpectrumError,
@@ -179,7 +179,7 @@ def scan_cyclic(
     # maximum; the element-wise max over workers is exact in any order.  The
     # buffers are allocated here, in the calling thread, so they do not land
     # in per-thread malloc arenas.
-    n = min(_available_cores(), hi - lo + 1)
+    n = min(dsp.available_cores(), hi - lo + 1)
     bufs = np.empty((n, L), dtype=np.complex128)
     mags = np.empty((n, last - first + 1))
     best = np.zeros((n, alphas.size))
@@ -211,14 +211,6 @@ def scan_cyclic(
         magnitude_db=db10(best.max(axis=0)),
         tau_range=(lo, hi),
     )
-
-
-def _available_cores() -> int:
-    """Cores this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def cyclic_evidence(

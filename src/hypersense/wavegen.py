@@ -14,10 +14,12 @@ reproduces the recording bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import EmptyInputError, ParameterError
 from .iqio import IqRecording
@@ -175,8 +177,11 @@ def gen_awgn(n: int, power_dbw: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex white Gaussian noise at the given power."""
     if n < 1:
         raise EmptyInputError("sample count must be >= 1")
-    scale = np.sqrt(10.0 ** (power_dbw / 10.0) / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = np.empty(n, dtype=np.complex128)
+    x.real = rng.standard_normal(n)
+    x.imag = rng.standard_normal(n)
+    x *= np.sqrt(10.0 ** (power_dbw / 10.0) / 2.0)
+    return x
 
 
 def _rrc_taps(sps: int, beta: float = 0.35, span: int = 8) -> np.ndarray:
@@ -318,31 +323,52 @@ def gen_psk_burst(
     return out, slices
 
 
+def _band_bins(band: tuple[float, float], fs: float, n: int) -> list[slice]:
+    """The bins of ``(f >= lo) & (f < hi)``, ``f = np.fft.fftfreq(n, 1 / fs)``, as slices.
+
+    Bin k sits at ``k * step`` as in ``fftfreq``, rising with k, so the band
+    is one run of k, split in two (in array order) where it crosses 0 Hz.
+    """
+    step = 1.0 / (n * (1.0 / fs))
+    k_min, k_max = -(n // 2), (n - 1) // 2
+
+    def first_at_or_above(edge: float) -> int:
+        k = math.ceil(min(max(edge / step, k_min), k_max + 1))
+        while k > k_min and (k - 1) * step >= edge:
+            k -= 1
+        while k <= k_max and k * step < edge:
+            k += 1
+        return k
+
+    lo = first_at_or_above(band[0])
+    hi = max(first_at_or_above(band[1]), lo)
+    runs = [slice(max(lo, 0), max(hi, 0)), slice(n + min(lo, 0), n + min(hi, 0))]
+    return [run for run in runs if run.stop > run.start]
+
+
 def _rect_coefficients(
     chan: ChannelSpec, fs: float, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency-domain coefficients of a flat channel: (bin mask, values).
+) -> tuple[list[slice], np.ndarray]:
+    """Frequency-domain coefficients of a flat channel: (bins, values).
 
     Independent Gaussian coefficients on the bins of the band around the
-    channel center, the same process as masking white noise; unit mean
-    power.
+    channel center, in the bins' array order, the same process as masking
+    white noise; unit mean power.
     """
     if chan.bandwidth_hz <= 0:
         raise ParameterError("rect_noise needs bandwidth_hz > 0")
-    freqs = np.fft.fftfreq(n, d=1.0 / fs)
     half = chan.bandwidth_hz / 2.0
-    keep = (freqs >= chan.center_freq_hz - half) & (freqs < chan.center_freq_hz + half)
-    m = int(keep.sum())
+    bins = _band_bins((chan.center_freq_hz - half, chan.center_freq_hz + half), fs, n)
+    m = sum(run.stop - run.start for run in bins)
     coeff = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
     # unit mean power after the inverse transform (Parseval)
-    return keep, coeff * (n / np.sqrt(max(m, 1)))
+    return bins, coeff * (n / np.sqrt(max(m, 1)))
 
 
 def _inband_power(x: np.ndarray, fs: float, band: tuple[float, float]) -> float:
-    spec = np.fft.fft(x)
-    freqs = np.fft.fftfreq(x.size, d=1.0 / fs)
-    inband = (freqs >= band[0]) & (freqs < band[1])
-    return float(np.sum(np.abs(spec[inband]) ** 2) / x.size**2)
+    spec = sfft.fft(x)
+    inband = [spec[run] for run in _band_bins(band, fs, x.size)]
+    return float(np.sum(np.abs(np.concatenate(inband or [spec[:0]])) ** 2) / x.size**2)
 
 
 def compose_scenario(
@@ -386,9 +412,12 @@ def compose_scenario(
         target = 10.0 ** (chan.snr_db / 10.0) * noise_inband
 
         if chan.kind == "rect_noise":
-            keep, coeff = _rect_coefficients(chan, fs, n, rng)
+            bins, coeff = _rect_coefficients(chan, fs, n, rng)
             measured = float(np.sum(np.abs(coeff) ** 2)) / n**2  # Parseval
-            rect_spectrum[keep] += coeff * np.sqrt(target / measured)
+            coeff *= np.sqrt(target / measured)
+            for run in bins:
+                rect_spectrum[run] += coeff[: run.stop - run.start]
+                coeff = coeff[run.stop - run.start :]
         else:
             if chan.kind == "psk_burst":
                 base, intervals = gen_psk_burst(chan, fs, n, rng)
@@ -400,12 +429,17 @@ def compose_scenario(
                 base, intervals = gen_fsk_header_burst(chan, fs, n, rng)
             else:
                 raise ParameterError(f"unknown channel kind {chan.kind!r}")
+            # base is zero outside its spans, so only they are mixed and added
+            spans = [slice(start, start + length) for start, length in intervals]
             if chan.center_freq_hz != 0.0:
-                t = np.arange(n) / fs
-                base = base * np.exp(2j * np.pi * chan.center_freq_hz * t)
+                for span in spans:
+                    t = np.arange(span.start, span.stop) / fs
+                    base[span] *= np.exp(2j * np.pi * chan.center_freq_hz * t)
             measured = _inband_power(base, fs, band)
             if measured > 0.0:
-                x = x + base * np.sqrt(target / measured)
+                scale = np.sqrt(target / measured)
+                for span in spans:
+                    x[span] += base[span] * scale
             else:
                 intervals = []
 
@@ -414,7 +448,7 @@ def compose_scenario(
         feature_table.append(expected_features(chan, fs))
 
     if rect_spectrum is not None:
-        x = x + np.fft.ifft(rect_spectrum)
+        x += np.fft.ifft(rect_spectrum)
 
     rec = IqRecording(samples=x, sample_rate_hz=fs, center_freq_hz=spec.center_freq_hz)
     truth = GroundTruth(
@@ -427,28 +461,6 @@ def compose_scenario(
 
 
 # -- scenario / ground truth serialization ----------------------------------
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    defaults = ChannelSpec(kind="", center_freq_hz=0.0, snr_db=0.0)
-    channels = []
-    for ch in spec.channels:
-        entry: dict = {"kind": ch.kind, "center_freq_hz": ch.center_freq_hz, "snr_db": ch.snr_db}
-        for key, value in vars(ch).items():
-            if key in entry or value == getattr(defaults, key):
-                continue
-            entry[key] = [list(b) for b in value] if key == "bursts" else value
-        channels.append(entry)
-    out = {
-        "sample_rate_hz": spec.sample_rate_hz,
-        "duration_s": spec.duration_s,
-        "noise_power_dbw": spec.noise_power_dbw,
-        "seed": spec.seed,
-        "channels": channels,
-    }
-    if spec.center_freq_hz:
-        out["center_freq_hz"] = spec.center_freq_hz
-    return out
-
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Build and check a spec from parsed JSON; ``ParameterError`` if malformed."""

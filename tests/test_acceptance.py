@@ -88,10 +88,10 @@ TRIALS = 300
 def table2_grid():
     t0 = time.time()
     cells = evaluation.confidence_grid(
-        SNR_LIST, OCC_LIST, trials=TRIALS, resamples=1000, seed=0xE7A1, workers=4
+        SNR_LIST, OCC_LIST, trials=TRIALS, resamples=1000, seed=0xE7A1
     )
     zero = evaluation.confidence_grid(
-        SNR_LIST, [0.0], trials=TRIALS, resamples=1000, seed=0xE7A2, workers=4
+        SNR_LIST, [0.0], trials=TRIALS, resamples=1000, seed=0xE7A2
     )
     return cells, zero, time.time() - t0
 

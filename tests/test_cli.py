@@ -21,6 +21,10 @@ class RawJson(str):
     """JSON text written into a document as it stands (``NaN``, ``1e400``)."""
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def scenario_dict(**over):
     base = {
         "sample_rate_hz": 2e6,
@@ -486,6 +490,11 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--snr-list", "abc", "--occ-list", "0.25",
                          "-o", str(tmp_path / "x.csv")]) == 2
 
+    def test_workers_flag_gone(self, tmp_path):
+        # the trials spread over the cores of the affinity mask; no flag sets that
+        assert cli.main([*EVALUATE, "--workers", "2", "-o", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestNfspem:
     def test_values_only_csv(self, tmp_path, capsys):
@@ -523,6 +532,32 @@ class TestNfspem:
         path = tmp_path / "vals.csv"
         path.write_text(text)
         assert cli.main(["nfspem", str(path), *flags]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "1.0\n2.0\n1e308\n1.5\n1e308\n1e308\n3.0\n1.2\n",
+        "1.0\n2.0\n1000.5\n1.5\n",
+        "1.0\n-inf\n2.0\n",
+        "1e308,1.0\n-1e308,2.0\n0,5.0\n",
+        "0,1.0\n1,2.0\n2e12,5.0\n",
+    ], ids=["value_1e308", "value_over_1000_db", "value_-inf", "axis_1e308", "axis_2e12"])
+    def test_out_of_range_exit2_writes_nothing(self, tmp_path, capsys, text):
+        path, out = tmp_path / "vals.csv", tmp_path / "floor.json"
+        path.write_text(text)
+        assert cli.main(["nfspem", str(path), "--min-width", "1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "within" in err[0]
+        assert not out.exists()
+
+    def test_values_at_the_bound_accepted(self, tmp_path, capsys):
+        # values at +-1000 dB on an axis that starts at 1e12
+        values = [-1000.0, -999.0, -998.0, 1000.0, 1000.0, -1000.0, -999.5, -998.5]
+        path = tmp_path / "vals.csv"
+        path.write_text("\n".join(f"{1e12 - i * 1e11!r},{v!r}" for i, v in enumerate(values)))
+        assert cli.main(["nfspem", str(path), "--min-width", "1"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        comp, = out["components"]
+        assert (comp["start_index"], comp["end_index"]) == (3, 4)
+        assert comp["center"] == pytest.approx(6.5e11)
 
     def test_k_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -1,5 +1,6 @@
 """A fuzz of ``cli.main`` end to end: any recording, sidecar or CSV exits 0, 2, 3 or 4,
-no exception escapes, and a run that fails writes no output file."""
+no exception escapes, a run that fails writes no output file, and the JSON
+``nfspem`` writes is strict (no ``NaN`` or ``Infinity``)."""
 
 import json
 import tempfile
@@ -60,6 +61,10 @@ def _run(argv, out):
     assert code == 0 or not out.exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @hypothesis.settings(max_examples=20, deadline=None, database=None)
 @hypothesis.given(shape=st.sampled_from(sorted(SHAPES)), n=st.integers(0, 2_000) | st.integers(2_000, 20_000),
                   seed=st.integers(0, 2**32 - 1), plan=st.sampled_from(["ism24_plan.json",
@@ -81,3 +86,5 @@ def test_nfspem_any_csv(content):
         values, out = Path(tmp) / "values.csv", Path(tmp) / "floor.json"
         values.write_bytes(content)
         _run(["nfspem", str(values), "-o", str(out)], out)
+        if out.exists():  # strict JSON: no NaN or Infinity
+            json.loads(out.read_text(), parse_constant=_reject_constant)

@@ -2,11 +2,12 @@
 acceptance suite)."""
 
 import csv
+import sys
 
 import numpy as np
 import pytest
 
-from hypersense import evaluation
+from hypersense import dsp, evaluation
 from hypersense.errors import ParameterError
 
 
@@ -59,11 +60,24 @@ class TestConfidenceGrid:
         assert len(rows) == 3
         assert rows[1][0] == "0.000000"  # fixed 6-decimal formatting
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
+        # trials run on one thread per core; a short switch interval
+        # interleaves them as often as the interpreter allows
         kw = dict(trials=6, resamples=100, seed=11, fft_size=512)
-        serial = evaluation.confidence_grid([4.0], [0.6], **kw)
-        threaded = evaluation.confidence_grid([4.0], [0.6], workers=4, **kw)
-        assert serial == threaded
+        grids = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 4):
+                monkeypatch.setattr(dsp, "available_cores", lambda: cores)
+                grids.append(evaluation.confidence_grid([4.0, 12.0], [0.0, 0.6], **kw))
+        finally:
+            sys.setswitchinterval(interval)
+        assert grids[0] == grids[1]
+
+    def test_failed_trial_raises(self):
+        with pytest.raises(ParameterError):
+            evaluation.confidence_grid([0.0], [0.25, 1.5], trials=4, resamples=10)
 
     def test_two_seeds_ci_consistency(self):
         a = evaluation.confidence_grid([6.0], [0.25], trials=40, resamples=400, seed=1)[0]

@@ -194,6 +194,27 @@ class TestDetectBursts:
         records, _ = pipeline.detect_bursts(rec, cfg)
         assert len(records) == nb
 
+    def test_end_dip_inside_transient_keeps_burst_count(self):
+        # a channelized record: the first and last 64 samples are the filter
+        # transient, here a constant 4 dB under the noise.  The smoothing
+        # spreads them over another half-window of the envelope, and the
+        # trim must cover both, so the burst count is that without the dip
+        n, nb, blen, transient = 40000, 10, 1000, 64
+        cfg = pipeline.PipelineConfig()
+
+        def bursts(seed, dip):
+            rng = np.random.default_rng(seed)
+            x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+            for s in np.arange(nb) * (n // nb) + (n // nb - blen) // 2:
+                x[s:s + blen] += 10 ** (8 / 20) * np.exp(2j * np.pi * rng.random(blen))
+            if dip:
+                x[:transient] = x[-transient:] = 10 ** (-4 / 20)
+            records, _ = pipeline.detect_bursts(IqRecording(x, 1e6, 0.0, transient=transient), cfg)
+            return len(records)
+
+        changed = [seed for seed in range(40) if bursts(seed, True) != bursts(seed, False)]
+        assert changed == []
+
     def test_continuous_tone_flagged(self):
         n = 20000
         t = np.arange(n)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from hypersense import sensing
+from hypersense import dsp, sensing
 from hypersense import wavegen as wg
 from hypersense.dsp import db10, welch_psd
 from hypersense.errors import (
@@ -192,7 +192,7 @@ def per_lag_scan(iq, alpha_grid, tau_range=None):
 
 @pytest.fixture(params=[1, 2], ids=["1core", "2cores"])
 def cores(request, monkeypatch):
-    monkeypatch.setattr(sensing, "_available_cores", lambda: request.param)
+    monkeypatch.setattr(dsp, "available_cores", lambda: request.param)
     return request.param
 
 
@@ -226,7 +226,7 @@ class TestScanCyclicMatchesPerLagLoop:
     def test_more_workers_than_cores(self, monkeypatch):
         # each worker writes only its own rows; a short switch interval
         # interleaves them as often as the interpreter allows
-        monkeypatch.setattr(sensing, "_available_cores", lambda: 5)
+        monkeypatch.setattr(dsp, "available_cores", lambda: 5)
         iq = self._bpsk(40_000, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -205,11 +205,3 @@ class TestComposeScenario:
                               bursts=[(0.001, 0.002), (0.002, 0.002)])
         with pytest.raises(ParameterError):
             wg.compose_scenario(wg.ScenarioSpec(1e6, 0.01, 0.0, [chan], seed=1))
-
-    def test_scenario_roundtrip(self):
-        chan = wg.ChannelSpec(kind="fsk_header_burst", center_freq_hz=-0.2e6, snr_db=4.0,
-                              symbol_rate_hz=0.1e6, bursts=[(0.001, 0.002)])
-        spec = wg.ScenarioSpec(1e6, 0.01, -5.0, [chan], seed=13, center_freq_hz=2.44e9)
-        data = wg.scenario_to_dict(spec)
-        back = wg.scenario_from_dict(data)
-        assert back == spec

@@ -9,14 +9,17 @@ they write byte-identical files.  Each shipped scenario is simulated at its
 own seed and at ``--seed 11`` and ``--seed 12``, and the recording is
 identified against the matching shipped plan with ``--emit-psd``,
 ``--emit-cyclic`` and ``--emit-envelope``; ``nfspem`` then runs over the
-written ``psd.csv``.  One line per written file:
-``<scenario>@<seed> <file> <sha256>``.
+written ``psd.csv``.  No shipped scenario has a ``psk_burst`` or
+``rect_noise`` channel, so an inline scenario with both is simulated too,
+and a small ``evaluate`` grid writes a CSV.  One line per written file:
+``<case> <file> <sha256>``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import sys
 import tempfile
 from importlib import resources
@@ -30,6 +33,35 @@ SEEDS = (None, 11, 12)  # None: the scenario's own seed
 FILES = ("rec.cf32", "rec.cf32.json", "rec.cf32.truth.json", "report.json",
          "psd.csv", "cyclic.csv", "envelope.csv", "nfspem.json")
 
+# bursts off and on 0 Hz, a continuous carrier, flat blocks across 0 Hz and at -fs/2
+INLINE_SCENARIO = {
+    "sample_rate_hz": 2e6, "duration_s": 0.02, "noise_power_dbw": -3.0, "seed": 29,
+    "channels": [
+        {"kind": "psk_burst", "center_freq_hz": 3.1e5, "snr_db": 9.0, "symbol_rate_hz": 1.25e5,
+         "bursts": [[0.0011, 0.004], [0.009, 0.0071]]},
+        {"kind": "psk_burst", "center_freq_hz": 0.0, "snr_db": 4.0, "symbol_rate_hz": 5e4,
+         "bursts": [[0.0, 0.003]]},
+        {"kind": "psk_burst", "center_freq_hz": 6.5e5, "snr_db": 6.0, "symbol_rate_hz": 2e5},
+        {"kind": "rect_noise", "center_freq_hz": -2.0e4, "snr_db": 3.0, "bandwidth_hz": 1.5e5},
+        {"kind": "rect_noise", "center_freq_hz": -9.0e5, "snr_db": 12.0, "bandwidth_hz": 2e5},
+    ],
+}
+EVALUATE = ["--seed", "5", "evaluate", "--snr-list=-4,10", "--occ-list", "0,0.6",
+            "--trials", "8", "--resamples", "200"]
+
+
+def _main(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(sys.stderr):  # keep stdout to the digests
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"hypersense {' '.join(argv)} exited {code}")
+
+
+def _digests(case: str, work: Path, names) -> None:
+    for name in names:
+        digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
+        print(f"{case} {name} {digest}")
+
 
 def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
     seed_args = [] if seed is None else ["--seed", str(seed)]
@@ -42,10 +74,7 @@ def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
         ["nfspem", str(work / "psd.csv"), "-o", str(work / "nfspem.json")],
     )
     for argv in steps:
-        with contextlib.redirect_stdout(sys.stderr):  # keep stdout to the digests
-            code = cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"hypersense {' '.join(argv)} exited {code}")
+        _main(argv)
 
 
 def main() -> None:
@@ -56,9 +85,14 @@ def main() -> None:
                 work = Path(tmp)
                 run_case(Path(str(data / scenario)), Path(str(data / plan)), seed, work)
                 case = f"{scenario.split('_')[0]}@{'shipped' if seed is None else seed}"
-                for name in FILES:
-                    digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
-                    print(f"{case} {name} {digest}")
+                _digests(case, work, FILES)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "scenario.json").write_text(json.dumps(INLINE_SCENARIO))
+        _main(["simulate", str(work / "scenario.json"), "-o", str(work / "rec.cf32")])
+        _digests(f"psk_rect@{INLINE_SCENARIO['seed']}", work, FILES[:3])
+        _main([*EVALUATE, "-o", str(work / "grid.csv")])
+        _digests("evaluate@5", work, ["grid.csv"])
 
 
 if __name__ == "__main__":

@@ -7,17 +7,16 @@ the noise-floor detector alone over a CSV of values).
 
 Exit codes are decided in ``main`` from the error class alone: 0 success;
 2 ``ParameterError``, ``OSError`` or ``MemoryError`` (unusable config,
-arguments or paths, a scenario too large for memory; config parse errors
-are line-anchored); 3 ``IqFormatError`` (malformed sidecar, IQ
-data/sidecar mismatch); 4 ``UnsupportedMethodError`` (a plan names a
-sensing method with no pipeline stage behind it).  Any other error
-surfaces as a traceback.
+arguments or paths, a scenario too large for memory, an output number
+that strict JSON cannot hold; config parse errors are line-anchored); 3
+``IqFormatError`` (malformed sidecar, IQ data/sidecar mismatch); 4
+``UnsupportedMethodError`` (a plan names a sensing method with no
+pipeline stage behind it).  Any other error surfaces as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -29,7 +28,7 @@ from .dsp import power_envelope
 from .errors import IqFormatError, ParameterError, UnsupportedMethodError
 from .iqio import read_iq, write_iq
 from .noisefloor import NoiseFloorParams, detect
-from .schema import load_json
+from .schema import dump_json, load_json
 
 PLAN_ENV_VAR = "HS_PLAN_PATH"
 
@@ -71,10 +70,11 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         spec.seed = args.seed
     fft_size = 1024 if args.fft_size is None else args.fft_size
     rec, truth = wavegen.compose_scenario(spec, fft_size=fft_size)
+    truth_text = dump_json(wavegen.truth_to_dict(truth))
     out = Path(args.out)
     write_iq(rec, out)
     truth_path = Path(str(out) + ".truth.json")
-    truth_path.write_text(json.dumps(wavegen.truth_to_dict(truth), indent=2) + "\n")
+    truth_path.write_text(truth_text)
     print(f"wrote {out} ({len(rec.samples)} samples), sidecar and {truth_path.name}")
 
 
@@ -189,11 +189,11 @@ def cmd_nfspem(args: argparse.Namespace) -> None:
             for c in comps
         ],
     }
-    text = json.dumps(out, indent=2)
+    text = dump_json(out)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text)
     else:
-        print(text)
+        print(text, end="")
 
 
 # -- parser -----------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .iqio import IqRecording
 from .noisefloor import DetectedComponent
 
 EPS_POWER = 1e-30
+# the channelizer's response grid keeps at least this many points per tap
+RESPONSE_POINTS_PER_TAP = 16
 
 WINDOWS = ("hann", "hamming", "rect")
 
@@ -150,6 +152,24 @@ def recording_spectrum(iq: IqRecording, factor: int) -> np.ndarray:
     return np.fft.fft(iq.samples, -(-len(iq.samples) // factor) * factor)
 
 
+def subband_weights(taps: np.ndarray, size: int, factor: int, distance: np.ndarray) -> np.ndarray:
+    """Zero-phase response of the odd-length ``taps`` ``distance`` bins from DC
+    on a size-point DFT grid.
+
+    The response is taken on a size/d grid and read at distance/d by linear
+    interpolation, d the largest power of two dividing ``factor`` that leaves
+    the grid ``RESPONSE_POINTS_PER_TAP`` points per tap (d = 1: the full grid).
+    """
+    step = factor
+    while step > 1 and size // step < RESPONSE_POINTS_PER_TAP * taps.size:
+        step //= 2
+    grid = size // step
+    # the taps centred on sample 0 and folded onto the grid are real and even,
+    # so their spectrum is the real, even zero-phase response
+    response = np.fft.rfft(np.bincount((np.arange(taps.size) - taps.size // 2) % grid, taps, grid)).real
+    return np.interp(distance / step, np.arange(response.size), response)
+
+
 def channelize(
     iq: IqRecording,
     component: DetectedComponent,
@@ -168,9 +188,12 @@ def channelize(
     Yli-Kaakinen & Harris 2014) on the N-point ``recording_spectrum``, which
     callers may share: the N/D bins around the offset are weighted by the
     taps' zero-phase response at each bin's distance from the offset,
-    inverse-transformed at length N/D and scaled by 1/D.  Filtering is
-    circular: the capture's ends leak into each other over ``transient``
-    output samples.  The output has ceil(n/D) samples at fs/D.
+    inverse-transformed at length N/D and scaled by 1/D.  The response is
+    read with linear interpolation from an N/d grid of at least 16·numtaps
+    points (d | D; d = 1, the full grid, when N is shorter), see
+    ``subband_weights``.  Filtering is circular: the capture's ends leak into
+    each other over ``transient`` output samples.  The output has ceil(n/D)
+    samples at fs/D.
     """
     if guard_factor <= 0:
         raise ParameterError("guard_factor must be positive")
@@ -193,11 +216,7 @@ def channelize(
     bins = np.fft.ifftshift(np.arange(kept) - kept // 2)  # FFT order around DC
     k0 = int(round(offset * size / fs))
     delta = offset * size / fs - k0  # the offset's sub-bin remainder, in bins
-    half = taps.size // 2
-    # the taps centred on sample 0 and folded onto the grid are real and even,
-    # so their spectrum is the real, even zero-phase response
-    response = np.fft.rfft(np.bincount((np.arange(taps.size) - half) % size, taps, size)).real
-    weights = np.interp(np.abs(bins - delta), np.arange(response.size), response)
+    weights = subband_weights(taps, size, factor, np.abs(bins - delta))
     y = np.fft.ifft(spectrum[(bins + k0) % size] * weights)[: -(-len(iq.samples) // factor)] / factor
     y *= np.exp(-2j * np.pi * delta * factor / size * np.arange(y.size))
     return IqRecording(
@@ -205,7 +224,7 @@ def channelize(
         sample_rate_hz=fs / factor,
         center_freq_hz=component.center,
         description=iq.description,
-        transient=-(-half // factor),
+        transient=-(-(taps.size // 2) // factor),
     )
 
 

@@ -7,14 +7,13 @@ and the sample count; the count must match the data file size exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IqFormatError, ParameterError
-from .schema import from_json, load_json
+from .schema import dump_json, from_json, load_json
 
 SAMPLE_FORMAT = "cf32le"
 BYTES_PER_SAMPLE = 8  # two float32
@@ -51,17 +50,22 @@ def sidecar_path(data_path: str | Path) -> Path:
 
 
 def write_iq(rec: IqRecording, data_path: str | Path) -> Path:
-    """Write samples as cf32le plus the JSON sidecar; returns sidecar path."""
+    """Write samples as cf32le plus the JSON sidecar; returns sidecar path.
+
+    The sidecar is serialized first, so a rate or centre that JSON cannot
+    hold raises ``ParameterError`` before either file is written.
+    """
     data_path = Path(data_path)
     samples = np.ascontiguousarray(rec.samples, dtype="<c8")
-    samples.tofile(data_path)
     header = vars(Sidecar(sample_rate_hz=rec.sample_rate_hz, center_freq_hz=rec.center_freq_hz,
                           sample_format=SAMPLE_FORMAT, sample_count=int(samples.size),
                           description=rec.description))
     if not rec.description:
         del header["description"]
+    text = dump_json(header)
+    samples.tofile(data_path)
     side = sidecar_path(data_path)
-    side.write_text(json.dumps(header, indent=2) + "\n")
+    side.write_text(text)
     return side
 
 

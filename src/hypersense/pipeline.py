@@ -9,7 +9,6 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .dsp import WINDOWS, PowerSpectrum, channelize, decimation, power_envelope,
 from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
-from .schema import from_json
+from .schema import dump_json, from_json
 
 @dataclass
 class PipelineConfig:
@@ -417,4 +416,4 @@ def report_to_dict(report: IdentificationReport) -> dict:
 
 
 def serialize_report(report: IdentificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return dump_json(report_to_dict(report))

@@ -1,10 +1,13 @@
-"""JSON inputs: reading them, and building dataclasses checked against their annotations.
+"""JSON in and out: reading it, building dataclasses checked against their
+annotations, and writing it.
 
 Every JSON input (pipeline config, scenario, channel plan, IQ sidecar)
 enters through ``load_json`` and ``from_json``, so one set of rules holds
 for all of them: numbers are finite and never bools, an int is accepted
 where a float is declared (and becomes a float), and a field without a
-default must be given.
+default must be given.  Every JSON output (report, truth file, ``nfspem``
+result, IQ sidecar) leaves through ``dump_json``, so none holds ``NaN`` or
+``Infinity``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ def load_json(path: str | Path, what: str):
         raise ParameterError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except (OSError, ValueError, RecursionError) as e:  # unreadable, not UTF-8, too long or deep
         raise ParameterError(f"{what} {path}: {e}") from e
+
+
+def dump_json(obj) -> str:
+    """Indented, strict JSON text ending in a newline; ``ParameterError`` on a non-finite number."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ParameterError(f"cannot write JSON: {e}") from e
 
 
 def from_json(cls, data, where: str, ignore_unknown: bool = False):

@@ -2,11 +2,10 @@
 
 The pipeline runs energy detection, cyclic-profile scanning (the
 max over lags of the cyclic autocorrelation) and cyclic-prefix detection
-via the sample autocorrelation.  Time-domain matched filtering and
-frequency-domain template matching are implemented here, but a channel
-plan cannot carry a template, so no pipeline stage runs them.  Selecting
-one of those two, or one of the registry rows that have no algorithm at
-all, raises ``UnsupportedMethodError``.
+via the sample autocorrelation.  The other rows of ``METHOD_REGISTRY``
+(matched filtering and template matching among them: a channel plan
+cannot carry a template) are the paper's method list, with no algorithm
+here; selecting one raises ``UnsupportedMethodError``.
 
 Peak extraction on every method's output axis is delegated to the noise
 floor detector, so the detection behavior is uniform across axes.
@@ -19,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy import signal as sig
 from scipy.stats import norm
 
 from . import dsp
-from .dsp import EPS_POWER, PowerSpectrum, db10
+from .dsp import EPS_POWER, db10
 from .errors import (
     DegenerateSpectrumError,
     EmptyInputError,
@@ -373,127 +371,3 @@ def cp_autocorr_detect(
         }
     )
     return evidence
-
-
-def matched_filter_detect(
-    iq: IqRecording, template: np.ndarray, pfa: float = 1e-3
-) -> Evidence:
-    """Template cross-correlation with a noise-calibrated threshold.
-
-    The correlator output is normalized by the template norm and by a
-    robust (median-based) estimate of the per-sample output power under
-    noise, so the threshold and detections are invariant to input scaling.
-    Peak components sit on the time axis in seconds.
-    """
-    template = np.asarray(template, dtype=np.complex128)
-    if template.size == 0:
-        raise ParameterError("empty template")
-    x = np.asarray(iq.samples)
-    if template.size > x.size:
-        raise ParameterError("template longer than the recording")
-    if not 0.0 < pfa < 0.5:
-        raise ParameterError(f"pfa must be in (0, 0.5), got {pfa}")
-
-    tnorm = np.linalg.norm(template)
-    if tnorm == 0:
-        raise ParameterError("template has zero energy")
-    y = sig.fftconvolve(x, np.conj(template[::-1]), mode="valid") / tnorm
-    p = np.abs(y) ** 2
-    # under noise |y|^2 is exponential; median/ln2 estimates its mean
-    noise_power = float(np.median(p)) / np.log(2.0)
-    if noise_power <= 0.0:
-        noise_power = EPS_POWER
-    threshold = noise_power * np.log(1.0 / pfa)
-
-    values_db = db10(p / noise_power)
-    threshold_db = db10(threshold / noise_power)
-    mask = p > threshold
-    peaks: list[DetectedComponent] = []
-    if mask.any():
-        padded = np.concatenate(([False], mask, [False]))
-        d = np.diff(padded.astype(np.int8))
-        dt = 1.0 / iq.sample_rate_hz
-        for s, e in zip(np.flatnonzero(d == 1), np.flatnonzero(d == -1) - 1):
-            seg = p[s : e + 1]
-            peak_idx = s + int(np.argmax(seg))
-            peaks.append(
-                DetectedComponent(
-                    start_index=int(s),
-                    end_index=int(e),
-                    center=peak_idx * dt,
-                    width=(e - s + 1) * dt,
-                    peak_value_db=float(values_db[peak_idx]),
-                    mean_excess_db=float(np.mean(values_db[s : e + 1] - threshold_db)),
-                )
-            )
-    return Evidence(
-        method=METHOD_MATCHED_FILTER,
-        peaks=peaks,
-        statistic=float(p.max() / noise_power),
-        threshold=float(threshold / noise_power),
-        detected=bool(peaks),
-        extras={"peak_index": int(np.argmax(p))} if peaks else {},
-    )
-
-
-def spectral_template_match(
-    psd: PowerSpectrum, template_psd: np.ndarray, min_score: float = 0.9
-) -> Evidence:
-    """Slide a dB-shape template across the spectrum, Pearson-correlating.
-
-    Flat inputs (zero variance on either side) score 0 and set the
-    ``flat_input`` flag instead of dividing by zero.
-    """
-    template = np.asarray(template_psd, dtype=float)
-    values = np.asarray(psd.values_db, dtype=float)
-    if template.size < 2:
-        raise ParameterError("template must have at least 2 points")
-    if template.size >= values.size:
-        raise ParameterError("template must be shorter than the spectrum")
-
-    t = template - template.mean()
-    tnorm = np.linalg.norm(t)
-    windows = np.lib.stride_tricks.sliding_window_view(values, template.size)
-    w = windows - windows.mean(axis=1, keepdims=True)
-    wnorm = np.linalg.norm(w, axis=1)
-    flags = []
-    if tnorm == 0.0 or np.all(wnorm == 0.0):
-        flags.append("flat_input")
-        scores = np.zeros(windows.shape[0])
-    else:
-        denom = np.where(wnorm > 0, wnorm * tnorm, np.inf)
-        scores = (w @ t) / denom
-
-    peaks: list[DetectedComponent] = []
-    if scores.size and not flags:
-        order = np.argsort(scores)[::-1]
-        taken: list[int] = []
-        min_sep = max(1, template.size // 2)
-        for idx in order:
-            if scores[idx] < min_score:
-                break
-            if all(abs(idx - j) >= min_sep for j in taken):
-                taken.append(int(idx))
-        step = psd.freq_step_hz
-        for idx in sorted(taken):
-            center = psd.freq_start_hz + (idx + (template.size - 1) / 2.0) * step
-            peaks.append(
-                DetectedComponent(
-                    start_index=int(idx),
-                    end_index=int(idx + template.size - 1),
-                    center=float(center),
-                    width=template.size * step,
-                    peak_value_db=float(scores[idx]),
-                    mean_excess_db=float(scores[idx] - min_score),
-                )
-            )
-    best = float(scores.max()) if scores.size else 0.0
-    return Evidence(
-        method=METHOD_TEMPLATE_MATCH,
-        peaks=peaks,
-        statistic=best,
-        threshold=float(min_score),
-        detected=bool(peaks),
-        flags=flags,
-        extras={"best_offset": int(np.argmax(scores))} if scores.size else {},
-    )

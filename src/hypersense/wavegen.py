@@ -358,11 +358,14 @@ def _rect_coefficients(
     if chan.bandwidth_hz <= 0:
         raise ParameterError("rect_noise needs bandwidth_hz > 0")
     half = chan.bandwidth_hz / 2.0
-    bins = _band_bins((chan.center_freq_hz - half, chan.center_freq_hz + half), fs, n)
+    lo, hi = chan.center_freq_hz - half, chan.center_freq_hz + half
+    bins = _band_bins((lo, hi), fs, n)
     m = sum(run.stop - run.start for run in bins)
+    if m == 0:
+        raise ParameterError(f"rect_noise band [{lo:g}, {hi:g}] holds no bin of the {n}-point DFT")
     coeff = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
     # unit mean power after the inverse transform (Parseval)
-    return bins, coeff * (n / np.sqrt(max(m, 1)))
+    return bins, coeff * (n / np.sqrt(m))
 
 
 def _inband_power(x: np.ndarray, fs: float, band: tuple[float, float]) -> float:

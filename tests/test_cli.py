@@ -110,10 +110,15 @@ class TestSimulate:
         (scenario_channel(snr_db=4000), "snr_db 4000 over noise_power_dbw 0 exceeds 600 dB"),
         (scenario_dict(noise_power_dbw=800), "noise_power_dbw must be <= 600"),
         (scenario_dict(duration_s=1e9), "Unable to allocate"),  # 2e15 samples: MemoryError
+        (scenario_dict(sample_rate_hz=1.0, duration_s=1.0,  # the one bin sits at 0 Hz
+                       channels=[dict(scenario_dict()["channels"][0], center_freq_hz=0.25,
+                                      bandwidth_hz=0.25)]),
+         "rect_noise band [0.125, 0.375] holds no bin of the 1-point DFT"),
     ], ids=["not_an_object", "sample_rate_str", "snr_str", "snr_numeric_str", "seed_float",
             "noise_nan_str", "noise_nan", "unknown_top_key", "seed_negative", "useful_length_0",
             "cp_length_negative", "used_subcarriers_negative", "used_subcarriers_above_useful",
-            "carrier_spacing_negative", "snr_overflow", "noise_overflow", "duration_too_large"])
+            "carrier_spacing_negative", "snr_overflow", "noise_overflow", "duration_too_large",
+            "rect_band_without_bins"])
     def test_malformed_scenario_exit2(self, tmp_path, capsys, scenario, message):
         (tmp_path / "scn.json").write_text(json.dumps(scenario))
         assert cli.main(["simulate", str(tmp_path / "scn.json"), "-o", str(tmp_path / "x")]) == 2
@@ -175,6 +180,14 @@ class TestIdentify:
         assert report["components"]
         assert "timing_s" not in report
 
+    def test_non_finite_report_exit2(self, tmp_path, recording_file, plan_file, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "report_to_dict", lambda report: {"flags": [float("nan")]})
+        out = tmp_path / "r.json"
+        code = cli.main(["identify", str(recording_file), "--plan", str(plan_file), "-o", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "cannot write JSON" in capsys.readouterr().err
+
     def test_truncated_data_exit3(self, tmp_path, recording_file, plan_file):
         data = recording_file.read_bytes()
         recording_file.write_bytes(data[:-16])
@@ -182,8 +195,7 @@ class TestIdentify:
                          "-o", str(tmp_path / "r.json")])
         assert code == 3
 
-    # Wavelet has no algorithm; the matched filter and template match have
-    # one but no pipeline stage
+    # registry rows without a pipeline stage, kept as the paper's method list
     @pytest.mark.parametrize("method", ["Wavelet", "matched_filter", "Template Matching"])
     def test_unsupported_method_exit4(self, tmp_path, recording_file, capsys, method):
         plan = {
@@ -413,6 +425,11 @@ class TestIqFormat:
         assert (back.sample_rate_hz, back.center_freq_hz) == (2e6, 2.44e9)
         assert back.description == "roof antenna, 12 dB LNA"
         np.testing.assert_array_equal(back.samples, rec.samples)
+
+    def test_non_finite_sidecar_writes_nothing(self, tmp_path):
+        with pytest.raises(ParameterError):
+            write_iq(IqRecording(np.ones(4, dtype=complex), float("inf")), tmp_path / "r.cf32")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBadConfig:

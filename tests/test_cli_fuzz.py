@@ -1,6 +1,7 @@
-"""A fuzz of ``cli.main`` end to end: any recording, sidecar or CSV exits 0, 2, 3 or 4,
-no exception escapes, a run that fails writes no output file, and the JSON
-``nfspem`` writes is strict (no ``NaN`` or ``Infinity``)."""
+"""A fuzz of ``cli.main`` end to end: any recording, sidecar, scenario or CSV exits
+0, 2, 3 or 4, no exception escapes, a run that fails writes no output file, and
+every JSON file written (report, sidecar, truth file, ``nfspem`` result) is
+strict (no ``NaN`` or ``Infinity``)."""
 
 import json
 import tempfile
@@ -65,6 +66,10 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _strict(path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 @hypothesis.settings(max_examples=20, deadline=None, database=None)
 @hypothesis.given(shape=st.sampled_from(sorted(SHAPES)), n=st.integers(0, 2_000) | st.integers(2_000, 20_000),
                   seed=st.integers(0, 2**32 - 1), plan=st.sampled_from(["ism24_plan.json",
@@ -76,6 +81,38 @@ def test_identify_any_recording_and_sidecar(shape, n, seed, plan, data):
         write_iq(IqRecording(SHAPES[shape](n, np.random.default_rng(seed)), 2e6, 2.44e9), rec)
         sidecar_path(rec).write_text(json.dumps(data.draw(sidecars(n))))
         _run(["identify", str(rec), "--plan", str(DATA / plan), "-o", str(out)], out)
+        if out.exists():
+            _strict(out)
+
+
+@st.composite
+def scenarios(draw):
+    """Up to 4,000 samples at 1 Hz to 1e15 Hz, up to three channels of two kinds,
+    with centres, widths and rates anywhere in the band."""
+    fs = draw(st.floats(1.0, 1e15))
+    band = st.floats(-0.5, 0.5).map(lambda f: f * fs)
+    channel = st.fixed_dictionaries({
+        "kind": st.sampled_from(["rect_noise", "psk_burst"]), "center_freq_hz": band,
+        "snr_db": st.floats(-100.0, 100.0), "bandwidth_hz": st.floats(0.0, 1.0).map(lambda f: f * fs),
+        "symbol_rate_hz": st.floats(0.0, 1.0).map(lambda f: f * fs),
+    })
+    return {"sample_rate_hz": fs, "duration_s": draw(st.integers(1, 4000)) / fs,
+            "noise_power_dbw": draw(st.floats(-400.0, 400.0)), "seed": draw(st.integers(0, 2**32 - 1)),
+            "center_freq_hz": draw(st.floats(allow_nan=False, allow_infinity=False)), "channels": draw(st.lists(channel, max_size=3))}
+
+
+@hypothesis.settings(max_examples=50, deadline=None, database=None)
+@hypothesis.given(scenarios())
+def test_simulate_any_scenario(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, rec = Path(tmp) / "scn.json", Path(tmp) / "rec.cf32"
+        scn.write_text(json.dumps(scenario))
+        _run(["simulate", str(scn), "-o", str(rec)], rec)
+        if rec.exists():
+            _strict(sidecar_path(rec))
+            _strict(Path(str(rec) + ".truth.json"))
+        else:  # neither the sidecar nor the truth file either
+            assert list(Path(tmp).iterdir()) == [scn]
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None)
@@ -86,5 +123,5 @@ def test_nfspem_any_csv(content):
         values, out = Path(tmp) / "values.csv", Path(tmp) / "floor.json"
         values.write_bytes(content)
         _run(["nfspem", str(values), "-o", str(out)], out)
-        if out.exists():  # strict JSON: no NaN or Infinity
-            json.loads(out.read_text(), parse_constant=_reject_constant)
+        if out.exists():
+            _strict(out)

@@ -128,9 +128,61 @@ def direct_channelize(iq, component, guard_factor=1.25, stop_atten_db=60.0):
     return sig.fftconvolve(x, taps, mode="same")[::factor], factor
 
 
+def full_grid_weights(taps, size, distance):
+    """The filter bank's subband weights on the full grid, as first written:
+    the taps' zero-phase response from an rfft of all ``size`` points, read at
+    ``distance`` bins from DC by linear interpolation."""
+    response = np.fft.rfft(np.bincount((np.arange(taps.size) - taps.size // 2) % size, taps, size)).real
+    return np.interp(distance, np.arange(response.size), response)
+
+
 class TestChannelize:
     def _component(self, center, width):
         return DetectedComponent(0, 0, center, width, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "fs, n, width, step",
+        [
+            (1e6, 40000, 300e3, 1),  # D = 1
+            (1e6, 40000, 12e3, 1),  # D = 16, but 1,613 taps need the full grid
+            (1e6, 40003, 3e3, 1),  # D = 64, 6,447 taps
+            (1e6, 40000, 60e3, 4),  # D = 4: 325 taps fit a 10,000-point grid
+            (10e6, 1_000_000, 50e3, 16),  # D = 64, 3,869 taps: a 62,500-point grid
+        ],
+    )
+    def test_response_grid(self, fs, n, width, step):
+        bw = width * 1.25
+        taps = dsp.design_lowpass(bw, fs, min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9))
+        factor = dsp.decimation(fs, bw)
+        size = -(-n // factor) * factor
+        kept = size // factor
+        distance = np.abs(np.fft.ifftshift(np.arange(kept) - kept // 2) - 0.37)
+        weights = dsp.subband_weights(taps, size, factor, distance)
+        # the grid the weights were read from is the one whose formula they match bitwise
+        grids = [d for d in 2 ** np.arange(factor.bit_length())
+                 if np.array_equal(weights, full_grid_weights(taps, size // d, distance / d))]
+        assert grids == [step]
+        floor = dsp.RESPONSE_POINTS_PER_TAP * taps.size
+        assert step == 1 or size // step >= floor  # never coarser than the floor
+        assert step == factor or size // (2 * step) < floor  # and the coarsest above it
+
+    def test_coarse_response_grid_matches_full_grid(self, monkeypatch):
+        # D = 64 and a 62,500-point response grid (d = 16): white noise fills the
+        # passband and the transition bands, where interpolation errs most
+        fs, n = 10e6, 1_000_000
+        rng = np.random.default_rng(5)
+        iq = rec((rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2), fs, fc=915e6)
+        comp = self._component(915e6 + 1.2345e6, 50e3)
+        out = dsp.channelize(iq, comp)
+        monkeypatch.setattr(dsp, "subband_weights",
+                            lambda taps, size, factor, distance: full_grid_weights(taps, size, distance))
+        full = dsp.channelize(iq, comp).samples
+        want, factor = direct_channelize(iq, comp)
+        assert factor == 64
+        core = slice(out.transient, len(full) - out.transient)
+        rms = np.sqrt(np.mean(np.abs(full[core]) ** 2))
+        assert np.max(np.abs(out.samples[core] - full[core])) <= 5e-4 * rms
+        assert np.max(np.abs(out.samples[core] - want[core])) <= 5e-3 * rms
 
     @pytest.mark.parametrize("n", [40000, 40003])
     @pytest.mark.parametrize("sub_bin", [0.0, 0.37])

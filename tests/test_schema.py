@@ -1,4 +1,5 @@
-"""The JSON loader: annotation-checked dataclasses, and a fuzz of every loader built on it."""
+"""The JSON loader and writer: annotation-checked dataclasses, strict output, and a fuzz
+of every loader built on them."""
 
 import copy
 import dataclasses
@@ -11,7 +12,7 @@ import pytest
 from hypersense import classify, wavegen
 from hypersense.errors import ParameterError, UnsupportedMethodError
 from hypersense.pipeline import PipelineConfig
-from hypersense.schema import from_json, load_json
+from hypersense.schema import dump_json, from_json, load_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -87,6 +88,16 @@ class TestLoadJson:
             path.write_bytes(content)
         with pytest.raises(ParameterError, match=f"doc {path}"):
             load_json(path, "doc")
+
+
+class TestDumpJson:
+    def test_indented_with_a_trailing_newline(self):
+        assert dump_json({"a": [1, 2.5]}) == '{\n  "a": [\n    1,\n    2.5\n  ]\n}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_is_a_parameter_error(self, value):
+        with pytest.raises(ParameterError, match="cannot write JSON"):
+            dump_json({"nested": [1.0, value]})
 
 
 # -- fuzz of the three loaders ------------------------------------------------

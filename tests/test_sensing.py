@@ -10,7 +10,7 @@ import scipy.fft as sfft
 
 from hypersense import dsp, sensing
 from hypersense import wavegen as wg
-from hypersense.dsp import db10, welch_psd
+from hypersense.dsp import db10
 from hypersense.errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -317,97 +317,6 @@ class TestCpAutocorrDetect:
             sensing.cp_autocorr_detect(x, (0, 50))
         with pytest.raises(ParameterError):
             sensing.cp_autocorr_detect(x, (10, 5))
-
-
-class TestMatchedFilter:
-    def test_offset_recovery_at_minus5db(self):
-        rng = np.random.default_rng(77)
-        hits = 0
-        for _ in range(20):
-            template = awgn(1000, rng)
-            x = awgn(20000, rng)
-            amp = np.sqrt(10 ** (-0.5))  # -5 dB per-sample SNR
-            x[5000:6000] += amp * template / np.sqrt(np.mean(np.abs(template) ** 2))
-            ev = sensing.matched_filter_detect(rec(x), template, pfa=1e-4)
-            if ev.detected and abs(ev.extras["peak_index"] - 5000) <= 1:
-                hits += 1
-        assert hits >= 19
-
-    def test_length_one_template(self):
-        rng = np.random.default_rng(2)
-        x = awgn(500, rng)
-        ev = sensing.matched_filter_detect(rec(x), np.array([1.0 + 0j]), pfa=1e-3)
-        assert ev.statistic > 0
-
-    def test_orthogonal_template_no_detection(self):
-        n = 4096
-        t = np.arange(n)
-        template = np.exp(2j * np.pi * 0.25 * t)[:64]
-        x = np.exp(2j * np.pi * 0.10 * t)  # orthogonal tone, no noise
-        ev = sensing.matched_filter_detect(rec(x), template, pfa=1e-4)
-        assert not ev.detected
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(8)
-        template = awgn(200, rng)
-        x = awgn(5000, rng)
-        x[1000:1200] += 3.0 * template / np.sqrt(np.mean(np.abs(template) ** 2))
-        ev1 = sensing.matched_filter_detect(rec(x), template)
-        ev2 = sensing.matched_filter_detect(rec(17.0 * x), template)
-        assert ev1.extras["peak_index"] == ev2.extras["peak_index"]
-        # a peak's index span is its whole above-threshold run
-        assert any(pk.end_index > pk.start_index for pk in ev1.peaks)
-        for pk in ev1.peaks:
-            assert pk.width == pytest.approx((pk.end_index - pk.start_index + 1) / 1e6)
-            assert pk.start_index <= round(pk.center * 1e6) <= pk.end_index
-
-    def test_empty_template(self):
-        with pytest.raises(ParameterError):
-            sensing.matched_filter_detect(rec(awgn(100, np.random.default_rng(0))), np.array([]))
-
-
-class TestSpectralTemplateMatch:
-    def _psd(self, seed=0):
-        rng = np.random.default_rng(seed)
-        x = awgn(65536, rng)
-        shape = np.zeros(65536, dtype=complex)
-        return welch_psd(rec(x + shape), fft_size=1024)
-
-    def test_self_match_scores_one(self):
-        psd = self._psd()
-        template = psd.values_db[200:264].copy()
-        ev = sensing.spectral_template_match(psd, template, min_score=0.99)
-        assert ev.detected
-        assert ev.statistic == pytest.approx(1.0, abs=1e-9)
-        assert ev.extras["best_offset"] == 200
-
-    def test_flat_inputs_guarded(self):
-        psd = self._psd()
-        psd.values_db[:] = -10.0
-        ev = sensing.spectral_template_match(psd, np.full(64, -10.0), min_score=0.5)
-        assert not ev.detected
-        assert "flat_input" in ev.flags
-        assert ev.statistic == 0.0
-
-    def test_three_carrier_mask_matches(self):
-        fs, fft = 9.8304e6, 1024
-        chan = wg.ChannelSpec(kind="dsss", center_freq_hz=0.0, snr_db=15.0,
-                              chip_rate_hz=1.2288e6, carrier_count=3,
-                              carrier_spacing_hz=2.5e6)
-        spec = wg.ScenarioSpec(fs, 0.02, 0.0, [chan], seed=31)
-        recording, _ = wg.compose_scenario(spec)
-        psd = welch_psd(recording, fft_size=fft)
-        # one carrier's shape as template: main lobe ~1.2288 MHz wide
-        width_bins = int(1.2288e6 / psd.freq_step_hz)
-        center_bin = int((0.0 - psd.freq_start_hz) / psd.freq_step_hz)
-        template = psd.values_db[center_bin - width_bins // 2 : center_bin + width_bins // 2]
-        ev = sensing.spectral_template_match(psd, template, min_score=0.9)
-        assert len(ev.peaks) >= 3
-
-    def test_template_too_long(self):
-        psd = self._psd()
-        with pytest.raises(ParameterError):
-            sensing.spectral_template_match(psd, np.zeros(2048))
 
 
 class TestRegistry:

@@ -1,16 +1,18 @@
 """Spectral estimation, channelization and envelope computation.
 
-Everything here but ``available_cores`` is a pure function of its inputs.
-Power quantities are floored at ``EPS_POWER`` before dB conversion so
-downstream level segmentation never sees -inf.  The channelizer is a
-fast-convolution filter bank: one FFT of the recording serves every channel,
-each filtered circularly on it and inverse-transformed at its decimated
-length, scaled 1/D.
+Everything here but ``available_cores`` and ``map_on_cores``, whose one pool
+runs components, cyclic-scan lags and trials, is a pure function.  Power
+quantities are floored at ``EPS_POWER`` before dB conversion so downstream
+level segmentation never sees -inf.  The channelizer is a fast-convolution
+filter bank: one FFT of the recording serves every channel, each filtered
+circularly on it and inverse-transformed at its decimated length, scaled 1/D.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,43 @@ def available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+_pool = ThreadPoolExecutor(max(1, available_cores() - 1), "hypersense-pool")
+
+
+def map_on_cores(fn, items) -> list:
+    """``[fn(x) for x in items]``, computed by the calling thread and the one
+    process-wide pool of ``available_cores() - 1`` threads (started on use).
+
+    Each thread claims the next unclaimed item; an exception or an interrupt
+    stops further claims and reaches the caller.  The caller, out of items,
+    cancels the pool tasks not yet started and waits only on those that have,
+    so a call made from inside a pool task cannot deadlock.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    claims = itertools.count()  # next() on it is atomic under the GIL
+    failed = False
+
+    def work() -> None:
+        nonlocal failed
+        try:
+            while not failed and (i := next(claims)) < len(items):
+                results[i] = fn(items[i])
+        except BaseException:
+            failed = True
+            raise
+
+    futures = [_pool.submit(work) for _ in range(min(available_cores(), len(items)) - 1)]
+    try:
+        work()
+    finally:
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for future in started:
+        future.result()  # re-raises a pool thread's exception
+    return results
 
 
 def db10(p: np.ndarray | float) -> np.ndarray | float:
@@ -217,7 +256,10 @@ def channelize(
     k0 = int(round(offset * size / fs))
     delta = offset * size / fs - k0  # the offset's sub-bin remainder, in bins
     weights = subband_weights(taps, size, factor, np.abs(bins - delta))
-    y = np.fft.ifft(spectrum[(bins + k0) % size] * weights)[: -(-len(iq.samples) // factor)] / factor
+    y = spectrum[(bins + k0) % size] * weights
+    del bins, weights  # components run at once: keep each one's transients short
+    y = np.fft.ifft(y)[: -(-len(iq.samples) // factor)]
+    y /= factor
     y *= np.exp(-2j * np.pi * delta * factor / size * np.arange(y.size))
     return IqRecording(
         samples=y,

@@ -62,7 +62,6 @@ the confidence columns that say nothing about the detector's SNR trend.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,10 +194,9 @@ def confidence_grid(
     detector's signal and noise declarations (module docstring), so a
     vacant band scores 0.5 in every trial that detects anything.
 
-    Every trial of the grid runs on one thread pool, one thread per core
-    this process may use.  Per-trial seeds derive from (seed, cell, trial)
-    and scores are read back in order, so results do not depend on the
-    core count.
+    Trials run on the calling thread and the shared pool of ``dsp.map_on_cores``.
+    Per-trial seeds derive from (seed, cell, trial) and scores are read back
+    in order, so results do not depend on the core count.
     """
     if trials < 2:
         raise ParameterError("need at least 2 trials per cell")
@@ -212,13 +210,7 @@ def confidence_grid(
         for cell_index, (snr, occ) in enumerate(grid)
         for t in range(trials)
     ]
-    pool = ThreadPoolExecutor(dsp.available_cores())
-    try:
-        all_scores = np.fromiter(
-            pool.map(lambda job: run_trial(*job).confidence, jobs), dtype=float, count=len(jobs)
-        )
-    finally:  # a failed trial or an interrupt drops the trials not yet started
-        pool.shutdown(cancel_futures=True)
+    all_scores = np.array(dsp.map_on_cores(lambda job: run_trial(*job).confidence, jobs), dtype=float)
     cells = []
     for cell_index, ((snr, occ), scores) in enumerate(zip(grid, all_scores.reshape(-1, trials))):
         ci_rng = np.random.default_rng(np.random.SeedSequence([seed, cell_index, 2**31]))

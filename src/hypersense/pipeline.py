@@ -2,9 +2,10 @@
 
 Stages: Welch spectrum -> noise-floor detection -> per-component plan
 matching -> channelization -> optional burst detection -> selected sensing
-method -> verdict.  Components are processed independently; one failing
+method -> verdict.  Components run independently and at once on the one
+pool of ``dsp.map_on_cores`` that also runs scan lags and trials; a failing
 component records its error and leaves the others untouched.  Reports are
-deterministic for identical inputs.
+deterministic for identical inputs, whatever the core count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, sensing
-from .dsp import WINDOWS, PowerSpectrum, channelize, decimation, power_envelope, recording_spectrum, welch_psd
+from .dsp import WINDOWS, PowerSpectrum, channelize, decimation, map_on_cores, power_envelope, recording_spectrum, welch_psd
 from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
@@ -336,10 +337,8 @@ def run_identification(
     if config.channelize_enabled and components:
         narrowest = min(c.width for c in components) * config.guard_factor
         spectrum = recording_spectrum(iq, decimation(iq.sample_rate_hz, narrowest))
-    results = [
-        _process_component(iq, estimate, noise_var_fullband, c, plan, config, spectrum)
-        for c in components
-    ]
+    results = map_on_cores(lambda c: _process_component(
+        iq, estimate, noise_var_fullband, c, plan, config, spectrum), components)
 
     flags = ["nfspem_tied"] if estimate.all_tied else []
     return IdentificationReport(

@@ -13,7 +13,6 @@ floor detector, so the detection behavior is uniform across axes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,9 +173,9 @@ def scan_cyclic(
     cells = idx - first
 
     # Lags are dealt round-robin to n workers, each keeping its own per-cell
-    # maximum; the element-wise max over workers is exact in any order.  The
-    # buffers are allocated here, in the calling thread, so they do not land
-    # in per-thread malloc arenas.
+    # maximum; the element-wise max over workers is exact in any order.  They
+    # run on the pool shared with components and trials; their buffers are
+    # allocated here, so they do not land in the pool threads' malloc arenas.
     n = min(dsp.available_cores(), hi - lo + 1)
     bufs = np.empty((n, L), dtype=np.complex128)
     mags = np.empty((n, last - first + 1))
@@ -196,14 +195,7 @@ def scan_cyclic(
             np.divide(mag, T, out=mag)
             np.maximum(best[w], np.maximum.reduceat(mag, cells)[0::2], out=best[w])
 
-    if n == 1:
-        scan_lags(0)
-    else:
-        with ThreadPoolExecutor(n - 1) as pool:
-            futures = [pool.submit(scan_lags, w) for w in range(1, n)]
-            scan_lags(0)
-            for future in futures:
-                future.result()
+    dsp.map_on_cores(scan_lags, range(n))
     return CyclicProfile(
         alpha_grid=alphas,
         magnitude_db=db10(best.max(axis=0)),

@@ -5,6 +5,10 @@ spectrum scaling; filter behavior is checked on the measured frequency
 response and on tones pushed through the full channelizer.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy import signal as sig
@@ -22,6 +26,83 @@ def tone(fs, n, freq, amp=1.0):
 
 def rec(samples, fs=1e6, fc=0.0):
     return IqRecording(samples=np.asarray(samples, dtype=complex), sample_rate_hz=fs, center_freq_hz=fc)
+
+
+@pytest.fixture(params=[1, 2, 5], ids=["1core", "2cores", "5cores"])
+def cores(request, monkeypatch):
+    monkeypatch.setattr(dsp, "available_cores", lambda: request.param)
+    return request.param
+
+
+class TestMapOnCores:
+    def test_results_in_item_order(self, cores):
+        # a short switch interval interleaves the claims as often as the
+        # interpreter allows; a lost or doubled claim shows in the calls
+        assert dsp.map_on_cores(abs, []) == []
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = dsp.map_on_cores(lambda i: calls.append(i) or -i, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-i for i in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    def test_nested_call_with_every_pool_thread_busy(self, monkeypatch):
+        size = dsp._pool._max_workers
+        monkeypatch.setattr(dsp, "available_cores", lambda: size + 1)
+        # the caller and every pool thread each hold an outer item before any
+        # of them makes the inner call, whose pool tasks cannot start
+        barrier = threading.Barrier(size + 1, timeout=10)
+
+        def outer(i):
+            barrier.wait()
+            return dsp.map_on_cores(lambda j: i + j, range(10))
+
+        done = []
+        caller = threading.Thread(
+            target=lambda: done.append(dsp.map_on_cores(outer, range(size + 1))), daemon=True
+        )
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "nested map_on_cores deadlocked"
+        assert done == [[[i + j for j in range(10)] for i in range(size + 1)]]
+
+    def test_exception_stops_further_claims(self, cores):
+        started = []
+
+        def fail_at_3(i):
+            started.append(i)
+            if i == 3:
+                raise ValueError("item 3")
+            time.sleep(0.002)
+            return i
+
+        with pytest.raises(ValueError, match="item 3"):
+            dsp.map_on_cores(fail_at_3, range(200))
+        returned_with = len(started)
+        time.sleep(0.05)
+        assert len(started) == returned_with  # nothing runs once the call is back
+        # items are claimed in order: 0..3, then at most one more per other
+        # thread, already running when item 3 raised (one spare for a thread
+        # that claims between the raise and the stop)
+        assert sorted(started) == list(range(returned_with))
+        assert returned_with <= 4 + cores
+        if cores == 1:
+            assert started == [0, 1, 2, 3]
+
+    def test_pool_thread_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(dsp, "available_cores", lambda: 2)
+
+        def fail_off_caller(i):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("raised on a pool thread")
+            time.sleep(0.002)
+            return i
+
+        with pytest.raises(ValueError, match="pool thread"):
+            dsp.map_on_cores(fail_off_caller, range(200))
 
 
 class TestWelchPsd:

@@ -1,5 +1,6 @@
 """Pipeline orchestration tests on small synthetic scenarios."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -321,6 +322,43 @@ def shipped():
         rec, _ = wg.compose_scenario(wg.load_scenario(str(data / scenario)))
         out[name] = (rec, classify.load_plan(str(data / plan)))
     return out
+
+
+@pytest.fixture(params=[1, 2, 5], ids=["1core", "2cores", "5cores"])
+def cores(request, monkeypatch):
+    monkeypatch.setattr(dsp, "available_cores", lambda: request.param)
+    return request.param
+
+
+class TestCoreCount:
+    """Components run at once on the shared pool; the report must not show it."""
+
+    @pytest.fixture(scope="class")
+    def short_ism(self):
+        """The shipped ISM scenario cut to 15 ms, its serial report and plan."""
+        from importlib import resources
+
+        data = resources.files("hypersense.data")
+        spec = wg.load_scenario(str(data / "ism_burst_scenario.json"))
+        end = 0.015
+        channels = [
+            dataclasses.replace(c, bursts=[b for b in c.bursts if b[0] + b[1] <= end])
+            if c.bursts else c
+            for c in spec.channels
+        ]
+        rec, _ = wg.compose_scenario(dataclasses.replace(spec, duration_s=end, channels=channels))
+        plan = classify.load_plan(str(data / "ism24_plan.json"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsp, "available_cores", lambda: 1)
+            report = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
+        # two cyclic, one cyclic-prefix and two unidentified components
+        assert [r.verdict.verdict for r in report.results].count(classify.VERDICT_IDENTIFIED) == 3
+        return rec, plan, pipeline.serialize_report(report)
+
+    def test_report_byte_identical(self, cores, short_ism):
+        rec, plan, serial = short_ism
+        report = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
+        assert pipeline.serialize_report(report) == serial
 
 
 class TestCyclicLagRange:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 of every file ``simulate``, ``identify`` and ``nfspem`` write on the shipped inputs.
 
-    PYTHONPATH=src python3 tools/output_digests.py
+    PYTHONPATH=src python3 tools/output_digests.py [--one-core]
 
 Drives ``hypersense.cli.main`` of whichever ``hypersense`` is importable, so
 running it against two source trees and diffing the two outputs checks that
@@ -13,13 +13,20 @@ written ``psd.csv``.  No shipped scenario has a ``psk_burst`` or
 ``rect_noise`` channel, so an inline scenario with both is simulated too,
 and a small ``evaluate`` grid writes a CSV.  One line per written file:
 ``<case> <file> <sha256>``.
+
+``--one-core`` first pins this process to the first CPU of its affinity
+mask, so the package sees one core and runs no work on its thread pool;
+diffing its output against an unpinned run checks that the written files
+do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from importlib import resources
@@ -78,6 +85,11 @@ def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--one-core", action="store_true",
+                        help="pin this process to the first CPU it may run on")
+    if parser.parse_args().one_core:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     data = resources.files("hypersense.data")
     for scenario, plan in CASES:
         for seed in SEEDS:

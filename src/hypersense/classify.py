@@ -210,19 +210,14 @@ def ssmsb_select(candidate: CandidateSignature) -> str:
 
 # -- decision ------------------------------------------------------------------
 
-def _peak_alpha(peak) -> float:
-    # line location: the run's maximum, not its power centroid
-    pos = peak.peak_position
-    return peak.center if pos != pos else pos  # NaN check
-
-
 def _match_cyclic(candidate: CandidateSignature, ev: Evidence) -> list[MatchedFeature]:
+    # a line sits at its run's maximum, not at the run's power centroid
     matches = []
     for kind, alpha, tol in candidate.cyclic_lines():
-        hits = [p for p in ev.peaks if abs(_peak_alpha(p) - alpha) <= tol]
+        hits = [p for p in ev.peaks if abs(p.peak_position - alpha) <= tol]
         if hits:
             best = max(hits, key=lambda p: p.peak_value_db)
-            matches.append(MatchedFeature(kind, alpha, _peak_alpha(best)))
+            matches.append(MatchedFeature(kind, alpha, best.peak_position))
     return matches
 
 

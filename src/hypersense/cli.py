@@ -138,6 +138,8 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         raise ParameterError(f"bad grid values: {e}") from e
     if not snr_list or not occ_list:
         raise ParameterError("empty SNR or occupancy list")
+    if not np.all(np.isfinite(snr_list + occ_list)):
+        raise ParameterError("grid values must be finite")
     cells = evaluation.confidence_grid(
         snr_list,
         occ_list,

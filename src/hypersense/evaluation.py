@@ -3,8 +3,8 @@
 Each trial builds a scenario of flat-spectrum channels covering the
 requested bin fraction at the requested in-band SNR, runs the detector on
 the Welch spectrum, and scores the detected components against the
-construction mask.  Cell statistics carry a bootstrap confidence interval
-from resampling the per-trial scores.
+scenario's ground-truth occupancy mask.  Cell statistics carry a
+bootstrap confidence interval from resampling the per-trial scores.
 
 Confidence statistic
 --------------------
@@ -96,13 +96,16 @@ class TrialResult:
 
 
 def _occupancy_channels(
-    occupancy: float, fft_size: int, fs: float
-) -> tuple[list[ChannelSpec], np.ndarray]:
-    """Flat-spectrum channels covering round(occupancy * fft_size) bins."""
+    occupancy: float, fft_size: int, fs: float, snr_db: float
+) -> list[ChannelSpec]:
+    """Flat-spectrum channels covering round(occupancy * fft_size) bins.
+
+    The bins are shared out over ``N_CHANNELS`` slots (one at full
+    occupancy); a slot whose share rounds to no bin gets no channel.
+    """
     step = fs / fft_size
-    mask = np.zeros(fft_size, dtype=bool)
     if occupancy <= 0.0:
-        return [], mask
+        return []
     n_bins = int(round(occupancy * fft_size))
     n_ch = 1 if occupancy >= 1.0 else N_CHANNELS
     per = n_bins // n_ch
@@ -110,9 +113,10 @@ def _occupancy_channels(
     channels = []
     for c in range(n_ch):
         count = per + (1 if c < n_bins - per * n_ch else 0)
+        if count == 0:
+            continue
         i0 = c * slot + (slot - count) // 2
         i1 = i0 + count - 1
-        mask[i0 : i1 + 1] = True
         lo = -fs / 2.0 + (i0 - 0.5) * step
         hi = -fs / 2.0 + (i1 + 0.5) * step
         lo, hi = max(lo, -fs / 2.0), min(hi, fs / 2.0)
@@ -120,11 +124,11 @@ def _occupancy_channels(
             ChannelSpec(
                 kind="rect_noise",
                 center_freq_hz=(lo + hi) / 2.0,
-                snr_db=0.0,  # filled per trial
+                snr_db=snr_db,
                 bandwidth_hz=hi - lo,
             )
         )
-    return channels, mask
+    return channels
 
 
 def run_trial(
@@ -139,23 +143,21 @@ def run_trial(
     n_samples = (n_seg - 1) * (fft_size // 2) + fft_size
     duration = n_samples / fs
 
-    channels, mask = _occupancy_channels(occupancy, fft_size, fs)
-    for ch in channels:
-        ch.snr_db = snr_db
     scenario = ScenarioSpec(
         sample_rate_hz=fs,
         duration_s=duration,
         noise_power_dbw=0.0,
-        channels=channels,
+        channels=_occupancy_channels(occupancy, fft_size, fs, snr_db),
         seed=int(rng.integers(0, 2**62)),
     )
-    rec, _ = compose_scenario(scenario, fft_size=fft_size)
+    rec, truth = compose_scenario(scenario, fft_size=fft_size)
     psd = welch_psd(rec, fft_size=fft_size, window="hann", overlap=0.5)
     _, comps = detect(psd.values_db, psd.axis, NoiseFloorParams(k=TRIAL_K))
     detected = np.zeros(fft_size, dtype=bool)
     for c in comps:
         detected[c.start_index : c.end_index + 1] = True
     power = np.power(10.0, psd.values_db / 10.0)
+    mask = truth.occupancy_mask
     errors = _misdeclared_share(detected, ~mask, power) + _misdeclared_share(
         ~detected, mask, power
     )

@@ -13,7 +13,7 @@ detection (time axis) and peak picking on cyclic-frequency profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,13 @@ class NoiseFloorParams:
 class LevelHistogram:
     """Equal-width level occupancy of a dB sample set."""
 
-    level_count: int
-    level_width: float
+    counts: np.ndarray         # samples per level, lowest level first
     y_min: float
-    y_max: float
-    counts: np.ndarray
-    k: float
-    sigma: float
-    sample_count: int
+    level_width: float
+
+    @property
+    def level_count(self) -> int:
+        return len(self.counts)
 
 
 @dataclass
@@ -62,9 +61,7 @@ class NoiseFloorEstimate:
     change_level: int          # 1-based level index; levels <= change_level are noise
     threshold_db: float        # upper boundary of the change level
     cusum: np.ndarray          # S_1 .. S_L
-    mean_count: float
     all_tied: bool             # every level equally occupied; threshold is suspect
-    sample_count: int
     level_width: float
 
     @property
@@ -88,8 +85,7 @@ class DetectedComponent:
     width: float               # (end - start + 1) * axis step
     peak_value_db: float
     mean_excess_db: float
-    peak_index: int = -1       # bin of the maximum value
-    peak_position: float = float("nan")  # axis position of that bin
+    peak_position: float       # axis position of the maximum value
 
 
 def segment_levels(samples: np.ndarray, k: float = 1.0) -> LevelHistogram:
@@ -130,16 +126,7 @@ def segment_levels(samples: np.ndarray, k: float = 1.0) -> LevelHistogram:
     idx = np.clip(idx, 1, level_count)
 
     counts = np.bincount(idx - 1, minlength=level_count).astype(np.int64)
-    return LevelHistogram(
-        level_count=level_count,
-        level_width=width,
-        y_min=y_min,
-        y_max=y_max,
-        counts=counts,
-        k=k,
-        sigma=sigma,
-        sample_count=y.size,
-    )
+    return LevelHistogram(counts=counts, y_min=y_min, level_width=width)
 
 
 def cusum_change_point(hist: LevelHistogram) -> NoiseFloorEstimate:
@@ -152,13 +139,8 @@ def cusum_change_point(hist: LevelHistogram) -> NoiseFloorEstimate:
     Levels 1..i* are noise, levels above are signal.
     """
     counts = np.asarray(hist.counts, dtype=np.int64)
-    if counts.size != hist.level_count or counts.sum() != hist.sample_count:
-        raise ParameterError("histogram counts inconsistent with its metadata")
-    mean_count = hist.sample_count / hist.level_count
-    cusum = np.cumsum(counts - mean_count)
-
-    interior = cusum[:-1] if hist.level_count > 1 else cusum
-    change_level = int(np.argmax(interior)) + 1  # first occurrence on ties
+    cusum = np.cumsum(counts - counts.sum() / counts.size)
+    change_level = int(np.argmax(cusum[:-1])) + 1  # first occurrence on ties
     threshold_db = hist.y_min + change_level * hist.level_width
     all_tied = bool(np.all(counts == counts[0]))
 
@@ -166,9 +148,7 @@ def cusum_change_point(hist: LevelHistogram) -> NoiseFloorEstimate:
         change_level=change_level,
         threshold_db=threshold_db,
         cusum=cusum,
-        mean_count=mean_count,
         all_tied=all_tied,
-        sample_count=hist.sample_count,
         level_width=hist.level_width,
     )
 
@@ -176,25 +156,21 @@ def cusum_change_point(hist: LevelHistogram) -> NoiseFloorEstimate:
 def extract_components(
     samples: np.ndarray,
     axis: tuple[float, float],
-    estimate: NoiseFloorEstimate,
+    threshold_db: float,
     min_width_bins: int = 3,
     merge_gap_bins: int = 2,
 ) -> list[DetectedComponent]:
-    """Turn above-threshold runs into components.
+    """Turn runs of samples above ``threshold_db`` into components.
 
-    Runs separated by at most ``merge_gap_bins`` below-threshold bins are
-    merged, then runs narrower than ``min_width_bins`` are dropped.  The
-    component center is the linear-power weighted centroid on the axis.
+    ``axis`` is (position of sample 0, step) in axis units.  Runs separated
+    by at most ``merge_gap_bins`` below-threshold bins are merged, then runs
+    narrower than ``min_width_bins`` are dropped.  The component center is
+    the linear-power weighted centroid on the axis.
     """
     y = np.asarray(samples, dtype=float)
-    if y.size != estimate.sample_count:
-        raise ParameterError(
-            f"samples length {y.size} does not match the estimate source "
-            f"({estimate.sample_count})"
-        )
     axis_start, axis_step = float(axis[0]), float(axis[1])
 
-    mask = y > estimate.threshold_db
+    mask = y > threshold_db
     if not mask.any():
         return []
 
@@ -218,7 +194,6 @@ def extract_components(
         w = np.power(10.0, seg / 10.0)
         positions = axis_start + axis_step * np.arange(s, e + 1)
         center = float(np.sum(w * positions) / np.sum(w))
-        peak_index = s + int(np.argmax(seg))
         components.append(
             DetectedComponent(
                 start_index=s,
@@ -226,9 +201,8 @@ def extract_components(
                 center=center,
                 width=(e - s + 1) * abs(axis_step),
                 peak_value_db=float(seg.max()),
-                mean_excess_db=float(np.mean(seg - estimate.threshold_db)),
-                peak_index=peak_index,
-                peak_position=float(axis_start + axis_step * peak_index),
+                mean_excess_db=float(np.mean(seg - threshold_db)),
+                peak_position=float(axis_start + axis_step * (s + int(np.argmax(seg)))),
             )
         )
     return components
@@ -248,8 +222,8 @@ def detect(
     params = params or NoiseFloorParams()
     params.validate()
     core = samples[trim:len(samples) - trim] if len(samples) - 2 * trim >= 2 else samples
-    estimate = replace(cusum_change_point(segment_levels(core, params.k)), sample_count=len(samples))
+    estimate = cusum_change_point(segment_levels(core, params.k))
     components = extract_components(
-        samples, axis, estimate, params.min_width_bins, params.merge_gap_bins
+        samples, axis, estimate.threshold_db, params.min_width_bins, params.merge_gap_bins
     )
     return estimate, components

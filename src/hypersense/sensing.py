@@ -246,7 +246,6 @@ def cyclic_evidence(
             # re-anchor run indices onto the full grid
             c.start_index += int(sel[0])
             c.end_index += int(sel[0])
-            c.peak_index += int(sel[0])
         window_best = max((c.peak_value_db for c in comps), default=estimate.threshold_db)
         if window_best - estimate.threshold_db > best_margin:
             best_margin = window_best - estimate.threshold_db

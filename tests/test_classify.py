@@ -9,7 +9,7 @@ from hypersense.noisefloor import DetectedComponent
 
 
 def comp(center, width):
-    return DetectedComponent(0, 10, center, width, 0.0, 3.0)
+    return DetectedComponent(0, 10, center, width, 0.0, 3.0, center)
 
 
 def cand(label, bw, **kw):
@@ -99,7 +99,7 @@ class TestSsmsbSelect:
 
 
 def ev_cyclo(peak_centers, detected=True, flags=()):
-    peaks = [DetectedComponent(0, 0, c, 10e3, -20.0, 8.0) for c in peak_centers]
+    peaks = [DetectedComponent(0, 0, c, 10e3, -20.0, 8.0, c) for c in peak_centers]
     return sensing.Evidence(sensing.METHOD_CYCLO, peaks, -20.0, -30.0, detected, list(flags))
 
 

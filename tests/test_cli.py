@@ -507,6 +507,25 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--snr-list", "abc", "--occ-list", "0.25",
                          "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("snr, occ", [
+        ("nan", "0"), ("10", "nan"), ("inf", "0.25"), ("10,-inf", "0.25"), ("10", "0.25,inf"),
+    ])
+    def test_non_finite_grid_exit2(self, tmp_path, capsys, snr, occ):
+        out = tmp_path / "x.csv"
+        assert cli.main(["evaluate", "--snr-list", snr, "--occ-list", occ,
+                         "--trials", "2", "--resamples", "1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("occ", ["0.001", "0.002"])
+    def test_occupancy_below_one_bin_per_channel(self, tmp_path, occ):
+        # 1 or 2 of 1024 bins: the channels that get no bin are left out
+        out = tmp_path / "x.csv"
+        assert cli.main(["evaluate", "--snr-list", "10", "--occ-list", occ,
+                         "--trials", "2", "--resamples", "1", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
     def test_workers_flag_gone(self, tmp_path):
         # the trials spread over the cores of the affinity mask; no flag sets that
         assert cli.main([*EVALUATE, "--workers", "2", "-o", str(tmp_path / "x.csv")]) == 2

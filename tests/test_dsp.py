@@ -219,7 +219,7 @@ def full_grid_weights(taps, size, distance):
 
 class TestChannelize:
     def _component(self, center, width):
-        return DetectedComponent(0, 0, center, width, 0.0, 0.0)
+        return DetectedComponent(0, 0, center, width, 0.0, 0.0, center)
 
     @pytest.mark.parametrize(
         "fs, n, width, step",

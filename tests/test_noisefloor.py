@@ -21,7 +21,6 @@ class TestSegmentLevels:
     def test_hand_example(self):
         # [0,0,0,0,10]: sigma=4 (population), L=ceil(10/4)=3, width 10/3
         hist = nf.segment_levels(np.array([0.0, 0.0, 0.0, 0.0, 10.0]), k=1.0)
-        assert hist.sigma == pytest.approx(4.0)
         assert hist.level_count == 3
         assert hist.level_width == pytest.approx(10.0 / 3.0)
         assert hist.counts.tolist() == [4, 0, 1]
@@ -89,12 +88,9 @@ class TestSegmentLevels:
 
 class TestCusumChangePoint:
     def test_hand_example_counts_50_40_5_3_2(self):
-        hist = nf.LevelHistogram(
-            level_count=5, level_width=1.0, y_min=0.0, y_max=5.0,
-            counts=np.array([50, 40, 5, 3, 2]), k=1.0, sigma=1.0, sample_count=100,
-        )
+        hist = nf.LevelHistogram(counts=np.array([50, 40, 5, 3, 2]), y_min=0.0, level_width=1.0)
         est = nf.cusum_change_point(hist)
-        assert est.mean_count == pytest.approx(20.0)
+        # mean count 20
         assert est.cusum == pytest.approx([30.0, 50.0, 35.0, 18.0, 0.0])
         assert est.change_level == 2
         assert est.threshold_db == pytest.approx(2.0)
@@ -108,10 +104,7 @@ class TestCusumChangePoint:
         assert 10.0 > est.threshold_db
 
     def test_equal_counts_all_tied(self):
-        hist = nf.LevelHistogram(
-            level_count=4, level_width=1.0, y_min=0.0, y_max=4.0,
-            counts=np.array([8, 8, 8, 8]), k=1.0, sigma=1.0, sample_count=32,
-        )
+        hist = nf.LevelHistogram(counts=np.array([8, 8, 8, 8]), y_min=0.0, level_width=1.0)
         est = nf.cusum_change_point(hist)
         assert est.change_level == 1
         assert est.all_tied
@@ -145,32 +138,19 @@ class TestCusumChangePoint:
 
     def test_top_heavy_histogram_keeps_floor_at_bottom(self):
         # most mass at the top level: the bottom cluster still marks the floor
-        hist = nf.LevelHistogram(
-            level_count=5, level_width=1.0, y_min=0.0, y_max=5.0,
-            counts=np.array([99, 3, 0, 25, 897]), k=1.0, sigma=1.0, sample_count=1024,
-        )
+        hist = nf.LevelHistogram(counts=np.array([99, 3, 0, 25, 897]), y_min=0.0, level_width=1.0)
         est = nf.cusum_change_point(hist)
         assert est.change_level == 1
 
 
 class TestExtractComponents:
-    def _estimate(self, samples, threshold):
-        return nf.NoiseFloorEstimate(
-            change_level=1, threshold_db=threshold,
-            cusum=np.zeros(2), mean_count=0.0, all_tied=False,
-            sample_count=len(samples), level_width=1.0,
-        )
-
     def test_nothing_above_threshold(self):
-        y = np.zeros(64)
-        comps = nf.extract_components(y, (0.0, 1.0), self._estimate(y, 5.0))
-        assert comps == []
+        assert nf.extract_components(np.zeros(64), (0.0, 1.0), 5.0) == []
 
     def test_rect_block(self):
         y = np.full(1024, -10.0)
         y[100:200] = 0.0
-        est = self._estimate(y, -5.0)
-        comps = nf.extract_components(y, (0.0, 10e3), est, 3, 2)
+        comps = nf.extract_components(y, (0.0, 10e3), -5.0, 3, 2)
         assert len(comps) == 1
         c = comps[0]
         assert (c.start_index, c.end_index) == (100, 199)
@@ -179,29 +159,23 @@ class TestExtractComponents:
         assert c.center == pytest.approx(10e3 * (100 + 199) / 2.0)
         assert c.peak_value_db == pytest.approx(0.0)
         assert c.mean_excess_db == pytest.approx(5.0)
+        assert c.peak_position == pytest.approx(1e6)  # first bin of the flat run
 
     def test_merge_gap(self):
         y = np.full(64, -20.0)
         y[10:13] = 0.0
         y[15:18] = 0.0  # 2-bin gap at 13,14
-        est = self._estimate(y, -10.0)
-        merged = nf.extract_components(y, (0.0, 1.0), est, 1, 3)
+        merged = nf.extract_components(y, (0.0, 1.0), -10.0, 1, 3)
         assert len(merged) == 1
         assert (merged[0].start_index, merged[0].end_index) == (10, 17)
-        split = nf.extract_components(y, (0.0, 1.0), est, 1, 1)
+        split = nf.extract_components(y, (0.0, 1.0), -10.0, 1, 1)
         assert len(split) == 2
 
     def test_min_width_discard(self):
         y = np.full(64, -20.0)
         y[30] = 0.0
-        est = self._estimate(y, -10.0)
-        assert nf.extract_components(y, (0.0, 1.0), est, 2, 0) == []
-        assert len(nf.extract_components(y, (0.0, 1.0), est, 1, 0)) == 1
-
-    def test_length_mismatch(self):
-        y = np.zeros(10)
-        with pytest.raises(ParameterError):
-            nf.extract_components(y, (0.0, 1.0), self._estimate(np.zeros(12), 1.0))
+        assert nf.extract_components(y, (0.0, 1.0), -10.0, 2, 0) == []
+        assert len(nf.extract_components(y, (0.0, 1.0), -10.0, 1, 0)) == 1
 
     def test_components_disjoint_and_sorted(self):
         rng = np.random.default_rng(5)
@@ -244,3 +218,23 @@ class TestDetect:
             y = rng.normal(size=128)
             est, comps = nf.detect(y, (0.0, 1.0))
             assert y.min() <= est.threshold_db <= y.max()
+
+    def test_trim_sets_floor_but_not_extent(self):
+        # a strong run in the last ``trim`` samples stays out of the floor
+        # but is still extracted, with indices on the untrimmed input
+        rng = np.random.default_rng(37)
+        y = rng.normal(size=256)
+        y[-4:] = 30.0
+        est, comps = nf.detect(y, (0.0, 1.0), trim=4)
+        core = nf.cusum_change_point(nf.segment_levels(y[4:-4]))
+        assert est.threshold_db == core.threshold_db
+        assert est.level_count == core.level_count
+        assert est.threshold_db < nf.detect(y, (0.0, 1.0))[0].threshold_db
+        assert (comps[-1].start_index, comps[-1].end_index) == (252, 255)
+        assert comps[-1].peak_position == 252.0
+
+    def test_trim_too_long_uses_every_sample(self):
+        y = np.array([0.0, 0.0, 0.0, 10.0])
+        est, comps = nf.detect(y, (0.0, 1.0), nf.NoiseFloorParams(min_width_bins=1), trim=2)
+        assert est.threshold_db == nf.detect(y, (0.0, 1.0))[0].threshold_db
+        assert [(c.start_index, c.end_index) for c in comps] == [(3, 3)]

@@ -257,7 +257,7 @@ class TestCyclicEvidence:
         profile = self._profile(values)
         ev = sensing.cyclic_evidence(profile, windows=[(0.0, 19e3), (20e3, 59e3)])
         assert ev.detected
-        assert [pk.peak_index for pk in ev.peaks] == [45]
+        assert [(pk.start_index, pk.peak_position) for pk in ev.peaks] == [(45, 45e3)]
         assert ev.extras["profile"] is profile
 
     def test_statistic_is_the_best_window_margin(self):

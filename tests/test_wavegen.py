@@ -54,13 +54,13 @@ class TestGenDsss:
 
     def test_chip_rate_zero_error(self):
         chan = wg.ChannelSpec(kind="dsss", center_freq_hz=0.0, snr_db=0.0, chip_rate_hz=0.0)
-        with pytest.raises(ParameterError):
-            wg.gen_dsss(chan, 1e6, 1000, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="chip rate"):
+            wg.ScenarioSpec(1e6, 1e-3, 0.0, [chan]).validate()
 
     def test_chip_rate_above_nyquist(self):
         chan = wg.ChannelSpec(kind="dsss", center_freq_hz=0.0, snr_db=0.0, chip_rate_hz=0.9e6)
-        with pytest.raises(ParameterError):
-            wg.gen_dsss(chan, 1e6, 1000, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="chip rate"):
+            wg.ScenarioSpec(1e6, 1e-3, 0.0, [chan]).validate()
 
     def test_constant_modulus_single_carrier_rect(self):
         chan = wg.ChannelSpec(kind="dsss", center_freq_hz=0.0, snr_db=0.0, chip_rate_hz=1e6)
@@ -97,8 +97,8 @@ class TestGenOfdm:
     def test_cp_equal_useful_error(self):
         chan = wg.ChannelSpec(kind="ofdm", center_freq_hz=0.0, snr_db=0.0,
                               useful_length=64, cp_length=64)
-        with pytest.raises(ParameterError):
-            wg.gen_ofdm(chan, 1e6, 1000, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="cp_length"):
+            wg.ScenarioSpec(1e6, 1e-3, 0.0, [chan]).validate()
 
 
 class TestGenFskHeaderBurst:

@@ -11,12 +11,13 @@ circularly on it and inverse-transformed at its decimated length, scaled 1/D.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sig
+from scipy.special import i0
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
@@ -156,7 +157,13 @@ def design_lowpass(
 
     The taps are real and of odd length (type I, symmetric).  A passband
     covering the whole representable band degenerates to the identity
-    filter ``[1.0]``.
+    filter ``[1.0]``.  Kaiser's order and beta formulas for A =
+    ``stop_atten_db`` and a transition of w (a fraction of Nyquist), as
+    Oppenheim & Schafer give them: N = ceil((A - 7.95) / (2.285 pi w)) + 1
+    taps (made odd), beta = 0.1102 (A - 8.7) above 50 dB, 0.5842 (A - 21)^0.4
+    + 0.07886 (A - 21) above 21 dB, else 0.  The ideal lowpass sinc times the
+    window, scaled to unit DC gain, matches ``scipy.signal.firwin`` fed by
+    ``scipy.signal.kaiserord`` bit for bit.
     """
     if bw_hz <= 0:
         raise ParameterError(f"bandwidth must be positive, got {bw_hz}")
@@ -168,13 +175,25 @@ def design_lowpass(
         return np.array([1.0])
     if transition_hz <= 0:
         raise ParameterError(f"transition width must be positive, got {transition_hz}")
+    if not stop_atten_db >= 8.0:
+        raise ParameterError(f"stop_atten_db must be >= 8 for Kaiser's formulas, got {stop_atten_db}")
     nyq = fs_hz / 2.0
     if bw_hz / 2.0 + transition_hz >= nyq:
         raise ParameterError("transition band does not fit inside the Nyquist band")
 
-    numtaps, beta = sig.kaiserord(stop_atten_db, transition_hz / nyq)
-    numtaps |= 1  # force odd length (type I, symmetric)
-    return sig.firwin(numtaps, bw_hz / 2.0, window=("kaiser", beta), fs=fs_hz)
+    a = stop_atten_db
+    if a > 50:
+        beta = 0.1102 * (a - 8.7)
+    elif a > 21:
+        beta = 0.5842 * (a - 21) ** 0.4 + 0.07886 * (a - 21)
+    else:
+        beta = 0.0
+    numtaps = math.ceil((a - 7.95) / 2.285 / (np.pi * (transition_hz / nyq)) + 1) | 1
+    half = (numtaps - 1) / 2.0
+    m = np.arange(numtaps, dtype=float) - half
+    cutoff = bw_hz / 2.0 / nyq
+    h = cutoff * np.sinc(cutoff * m) * (i0(beta * np.sqrt(1 - (m / half) ** 2.0)) / i0(beta))
+    return h / h.sum()
 
 
 def decimation(fs_hz: float, passband_hz: float) -> int:

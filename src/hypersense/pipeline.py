@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import classify, sensing
 from .dsp import WINDOWS, PowerSpectrum, channelize, decimation, map_on_cores, power_envelope, recording_spectrum, welch_psd
@@ -180,11 +181,12 @@ def _cyclic_windows(
 
 
 def _grid_from_windows(windows: list[tuple[float, float]], step: float) -> np.ndarray:
-    points: list[float] = []
-    for lo, hi in windows:
-        k0, k1 = int(np.ceil(lo / step)), int(np.floor(hi / step))
-        points.extend(step * k for k in range(k0, k1 + 1))
-    return np.array(sorted(set(points)))
+    """The multiples of ``step`` inside the merged windows, which lie more than
+    one step apart, so the grid comes out strictly increasing."""
+    return np.concatenate([
+        np.arange(int(np.ceil(lo / step)), int(np.floor(hi / step)) + 1) * step
+        for lo, hi in windows
+    ])
 
 
 def _run_method(
@@ -203,6 +205,13 @@ def _run_method(
     fs = channelized.sample_rate_hz
     n = len(channelized.samples)
     if method == sensing.METHOD_CYCLO:
+        # the scan resolves no finer than fs / L: a finer grid only costs memory
+        resolution = fs / next_fast_len(n)
+        if config.cyclic_step_hz < resolution:
+            raise ParameterError(
+                f"cyclic_step_hz {config.cyclic_step_hz:g} Hz is below the cyclic scan's "
+                f"resolution of {resolution:g} Hz on this {n}-sample channel"
+            )
         windows = _cyclic_windows(
             candidate, fs, config.cyclic_step_hz, widen=2.0 if widened else 1.0
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import dsp
 from .dsp import EPS_POWER, db10
@@ -117,7 +117,7 @@ def energy_detect(iq: IqRecording, noise_var: float, pfa: float = 0.05) -> Evide
             f"need >= 100 samples for the Gaussian threshold approximation, got {m}"
         )
     statistic = float(np.sum(np.abs(x) ** 2))
-    threshold = m * noise_var + norm.isf(pfa) * noise_var * np.sqrt(m)
+    threshold = m * noise_var - ndtri(pfa) * noise_var * np.sqrt(m)  # ndtri(pfa) = -Q^-1(pfa)
     return Evidence(
         method=METHOD_ENERGY,
         peaks=[],

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,13 @@ from hypersense.iqio import IqRecording, read_iq, write_iq
 
 class RawJson(str):
     """JSON text written into a document as it stands (``NaN``, ``1e400``)."""
+
+
+def _package_env(**extra):
+    """The environment with this package's sources first on ``PYTHONPATH``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
 
 
 def _reject_constant(name):
@@ -127,12 +135,9 @@ class TestSimulate:
 
     def test_run_as_module(self, tmp_path, scenario_file):
         out = tmp_path / "x.cf32"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "hypersense.cli", "simulate", str(scenario_file), "-o", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_package_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.is_file()
@@ -277,6 +282,33 @@ class TestIdentify:
         exported = np.loadtxt(cyc_csv, delimiter=",", ndmin=2)
         assert np.array_equal(exported[:, 0], scan.alpha_grid)
         assert np.array_equal(exported[:, 1], scan.magnitude_db)
+
+    def test_cyclic_step_below_resolution_is_a_component_error(self, tmp_path):
+        # At 0.01 Hz the PCS candidate's windows would hold about 152 million
+        # grid points, spaced far finer than the scan's 50 Hz resolution on the
+        # 196,608-sample channel.  Run under a 1 GB address-space limit on one
+        # CPU (one pool thread), identify must end at once with that error.
+        data = resources.files("hypersense.data")
+        rec, cfg, out = tmp_path / "pcs.cf32", tmp_path / "cfg.json", tmp_path / "r.json"
+        assert cli.main(["simulate", str(data / "pcs_multicarrier_scenario.json"), "-o", str(rec)]) == 0
+        cfg.write_text(json.dumps({"cyclic_step_hz": 0.01}))
+        limited = (
+            "import os, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from hypersense import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "--config", str(cfg), "identify", str(rec),
+             "--plan", str(data / "pcs1900_plan.json"), "-o", str(out)],
+            env=_package_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [c["error"] for c in json.loads(out.read_text())["components"]] == [
+            "ParameterError: cyclic_step_hz 0.01 Hz is below the cyclic scan's resolution "
+            "of 50 Hz on this 196608-sample channel"
+        ]
 
     @pytest.mark.parametrize("plan", [[1], {"entries": [{
         "name": "ISM", "band_hz": [2.4e9, 2.5e9],
@@ -604,6 +636,18 @@ class TestNfspem:
         assert cli.main(["nfspem", str(path)]) == 0
         k_one = json.loads(capsys.readouterr().out)["level_count"]
         assert k_half >= 2 * k_one - 1
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_signal_and_stats(self):
+        # together they take longer to import than an identification takes to run
+        code = ("import sys, hypersense.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                "(['scipy', 'signal'], ['scipy', 'stats'])))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestParser:

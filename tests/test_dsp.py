@@ -190,6 +190,23 @@ class TestDesignBandpass:
             dsp.design_lowpass(4.9e6, 5e6, 200e3)  # transition does not fit
         with pytest.raises(ParameterError):
             dsp.design_lowpass(1e6, 5e6, 0.0)
+        with pytest.raises(ParameterError):
+            dsp.design_lowpass(1e6, 5e6, 100e3, 7.9)  # below Kaiser's formulas
+
+    def test_matches_scipy_kaiserord_firwin_bitwise(self):
+        # the design scipy.signal gave before the package stopped importing it
+        rng = np.random.default_rng(2024)
+        branches = set()
+        for _ in range(1200):
+            fs = 10 ** rng.uniform(3.0, 8.0)
+            bw = fs * 10 ** rng.uniform(-4.0, np.log10(0.9))
+            transition = min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9)
+            atten = rng.uniform(8.0, 120.0)
+            branches.add((atten > 21) + (atten > 50))
+            numtaps, beta = sig.kaiserord(atten, transition / (fs / 2.0))
+            expected = sig.firwin(numtaps | 1, bw / 2.0, window=("kaiser", beta), fs=fs)
+            assert np.array_equal(dsp.design_lowpass(bw, fs, transition, atten), expected)
+        assert branches == {0, 1, 2}  # every kaiser_beta branch: <= 21, <= 50, > 50 dB
 
 
 def direct_channelize(iq, component, guard_factor=1.25, stop_atten_db=60.0):

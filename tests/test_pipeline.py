@@ -361,6 +361,43 @@ class TestCoreCount:
         assert pipeline.serialize_report(report) == serial
 
 
+def loop_grid(windows, step):
+    """The cyclic grid as first built, kept as the reference: a Python list of
+    every step multiple inside each window, deduplicated and sorted."""
+    points = []
+    for lo, hi in windows:
+        k0, k1 = int(np.ceil(lo / step)), int(np.floor(hi / step))
+        points.extend(step * k for k in range(k0, k1 + 1))
+    return np.array(sorted(set(points)))
+
+
+class TestCyclicGrid:
+    def test_matches_the_loop_on_merged_windows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            step = 10 ** rng.uniform(1.0, 4.0)
+            target = np.sort(rng.uniform(1e4, 4e6, rng.integers(1, 6)))
+            candidate = classify.CandidateSignature(
+                label="c", expected_bw_hz=(1e5, 1e7),
+                cyclic_features_hz=[classify.CyclicFeature(float(a), float(rng.uniform(0, 2e4)))
+                                    for a in target])
+            windows = pipeline._cyclic_windows(candidate, 1e7, step, widen=rng.choice([1.0, 2.0]))
+            grid = pipeline._grid_from_windows(windows, step)
+            assert np.array_equal(grid, loop_grid(windows, step))
+            assert np.all(np.diff(grid) > 0)
+
+    def test_step_below_scan_resolution_rejected(self, shipped):
+        # PCS: one 196,608-sample channel at 9.8304 MS/s, 50 Hz resolution
+        rec, plan = shipped["pcs"]
+        def error(step):
+            config = pipeline.PipelineConfig(cyclic_step_hz=step, tau_max=2)
+            (result,) = pipeline.run_identification(rec, config, plan).results
+            return result.error
+
+        assert error(49.9).startswith("ParameterError: cyclic_step_hz 49.9 Hz is below")
+        assert error(50.0) is None
+
+
 class TestCyclicLagRange:
     """The scan's last lag is ceil(2 fs_c / alpha_min), capped by tau_max."""
 
@@ -396,3 +433,29 @@ class TestCyclicLagRange:
         assert self._tau_ranges(shipped, "ism", {"channelize_enabled": False}) == {
             "fh-burst-1msym": {(0, 16)}, "dsss-1p2288": {(0, 14)},
         }
+
+
+class TestCyclicPrefixCheck:
+    """``ofdm-narrow`` needs its prefix length too, not only its useful length."""
+
+    def _ofdm_verdict(self, rec, plan):
+        report = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
+        ofdm = [r for r in report.results if abs(r.component.center - 2.443e9) < 0.5e6]
+        assert len(ofdm) == 1
+        (evidence,) = [ev for ev in ofdm[0].verdict.evidence if ev.method == sensing.METHOD_AUTOCORR]
+        return ofdm[0].verdict.label, evidence.extras["useful_length"], evidence.extras["cp_length"]
+
+    def test_shipped_channel_identified(self, shipped):
+        assert self._ofdm_verdict(*shipped["ism"]) == ("ofdm-narrow", 256, 64)
+
+    @pytest.mark.parametrize("seed", [414, 1, 2])  # 414 is the scenario's own seed
+    def test_longer_prefix_not_identified(self, shipped, seed):
+        # the useful length still matches the candidate's 32 us (256 samples at
+        # 8 MS/s); only the 128-sample (16 us) prefix misses its 8 +- 2 us
+        from importlib import resources
+
+        spec = wg.load_scenario(str(resources.files("hypersense.data") / "ism_burst_scenario.json"))
+        channels = [dataclasses.replace(c, cp_length=128) if c.kind == "ofdm" else c
+                    for c in spec.channels]
+        rec, _ = wg.compose_scenario(dataclasses.replace(spec, seed=seed, channels=channels))
+        assert self._ofdm_verdict(rec, shipped["ism"][1]) == (None, 256, 128)

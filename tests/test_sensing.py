@@ -78,6 +78,18 @@ class TestEnergyDetect:
                 hits += 1
         assert hits == 200
 
+    def test_threshold_matches_norm_isf(self):
+        # the Gaussian quantile scipy.stats gave before the package stopped importing it
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(11)
+        for m in (100, 1000, 4097):
+            x = rec(awgn(m, rng))
+            for noise_var in (1e-6, 0.37, 1.0, 250.0):
+                for pfa in (1e-9, 0.001, 0.01, 0.05, 0.2, 0.4999):
+                    expected = m * noise_var + norm.isf(pfa) * noise_var * np.sqrt(m)
+                    assert sensing.energy_detect(x, noise_var, pfa).threshold == float(expected)
+
     def test_threshold_monotone_in_pfa(self):
         x = rec(awgn(500, np.random.default_rng(0)))
         thresholds = [sensing.energy_detect(x, 1.0, p).threshold for p in (0.01, 0.05, 0.2)]

@@ -1,11 +1,13 @@
 """Spectral estimation, channelization and envelope computation.
 
 Everything here but ``available_cores`` and ``map_on_cores``, whose one pool
-runs components, cyclic-scan lags and trials, is a pure function.  Power
-quantities are floored at ``EPS_POWER`` before dB conversion so downstream
-level segmentation never sees -inf.  The channelizer is a fast-convolution
-filter bank: one FFT of the recording serves every channel, each filtered
-circularly on it and inverse-transformed at its decimated length, scaled 1/D.
+runs components, cyclic-scan lags, trials and Welch's segment blocks, is a
+pure function.  Power quantities are floored at ``EPS_POWER`` before dB
+conversion so downstream level segmentation never sees -inf.  The channelizer
+is a fast-convolution filter bank: one FFT of the recording, padded to a
+multiple of the config's largest decimation, serves every channel, each
+filtered circularly on it and inverse-transformed at its decimated length,
+scaled 1/D.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.special import i0
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
@@ -28,6 +31,8 @@ EPS_POWER = 1e-30
 RESPONSE_POINTS_PER_TAP = 16
 
 WINDOWS = ("hann", "hamming", "rect")
+# Welch's segments per pool item: a trial's 64-192 segments stay one block
+WELCH_BLOCK_ROWS = 256
 
 
 def available_cores() -> int:
@@ -39,6 +44,11 @@ def available_cores() -> int:
 
 
 _pool = ThreadPoolExecutor(max(1, available_cores() - 1), "hypersense-pool")
+
+
+def _run_held(held: list) -> None:
+    for work in held[:1]:
+        work()
 
 
 def map_on_cores(fn, items) -> list:
@@ -64,10 +74,14 @@ def map_on_cores(fn, items) -> list:
             failed = True
             raise
 
-    futures = [_pool.submit(work) for _ in range(min(available_cores(), len(items)) - 1)]
+    # a pool task reaches ``work`` only through ``held``, emptied on return, so
+    # a task still queued then (cancelled) keeps nothing of this call alive
+    held = [work]
+    futures = [_pool.submit(_run_held, held) for _ in range(min(available_cores(), len(items)) - 1)]
     try:
         work()
     finally:
+        held.clear()
         started = [f for f in futures if not f.cancel()]
         wait(started)
     for future in started:
@@ -119,7 +133,10 @@ def welch_psd(
 
     Scaling is such that the mean of the linear-domain spectrum equals the
     mean input power (exactly so for the rectangular window).  The axis is
-    baseband, ordered -fs/2 upward in steps of fs/fft_size.
+    baseband, ordered -fs/2 upward in steps of fs/fft_size.  The segments are
+    transformed in blocks of ``WELCH_BLOCK_ROWS`` on ``map_on_cores``; the
+    periodograms are averaged in one reduction in segment order, so the result
+    does not depend on the blocks or the core count.
     """
     if fft_size < 8 or fft_size & (fft_size - 1):
         raise ParameterError(f"fft_size must be a power of two >= 8, got {fft_size}")
@@ -134,8 +151,15 @@ def welch_psd(
     hop = max(1, int(round(fft_size * (1.0 - overlap))))
     n_seg = (x.size - fft_size) // hop + 1
     segs = np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop][:n_seg]
-    spec = np.fft.fft(segs * w, axis=1)
-    p = np.mean(np.abs(spec) ** 2, axis=0) / np.sum(w**2)
+    power = np.empty((n_seg, fft_size))
+
+    def periodograms(lo: int) -> None:
+        rows = power[lo : lo + WELCH_BLOCK_ROWS]
+        spec = scipy.fft.fft(segs[lo : lo + len(rows)] * w, axis=1, overwrite_x=True, workers=1)
+        np.square(np.abs(spec, out=rows), out=rows)
+
+    map_on_cores(periodograms, range(0, n_seg, WELCH_BLOCK_ROWS))
+    p = np.mean(power, axis=0) / np.sum(w**2)
     p = np.fft.fftshift(p)
     fs = iq.sample_rate_hz
     return PowerSpectrum(
@@ -152,6 +176,7 @@ def design_lowpass(
     fs_hz: float,
     transition_hz: float,
     stop_atten_db: float = 60.0,
+    max_taps: int | None = None,
 ) -> np.ndarray:
     """Taps of a Kaiser-windowed linear-phase FIR passing [-bw/2, bw/2].
 
@@ -163,7 +188,8 @@ def design_lowpass(
     taps (made odd), beta = 0.1102 (A - 8.7) above 50 dB, 0.5842 (A - 21)^0.4
     + 0.07886 (A - 21) above 21 dB, else 0.  The ideal lowpass sinc times the
     window, scaled to unit DC gain, matches ``scipy.signal.firwin`` fed by
-    ``scipy.signal.kaiserord`` bit for bit.
+    ``scipy.signal.kaiserord`` bit for bit.  A design of more than
+    ``max_taps`` taps is a ParameterError, raised before any allocation.
     """
     if bw_hz <= 0:
         raise ParameterError(f"bandwidth must be positive, got {bw_hz}")
@@ -189,6 +215,10 @@ def design_lowpass(
     else:
         beta = 0.0
     numtaps = math.ceil((a - 7.95) / 2.285 / (np.pi * (transition_hz / nyq)) + 1) | 1
+    if max_taps is not None and numtaps > max_taps:
+        raise ParameterError(
+            f"a {transition_hz:g} Hz transition needs {numtaps} taps, more than the {max_taps} allowed"
+        )
     half = (numtaps - 1) / 2.0
     m = np.arange(numtaps, dtype=float) - half
     cutoff = bw_hz / 2.0 / nyq
@@ -196,10 +226,12 @@ def design_lowpass(
     return h / h.sum()
 
 
-def decimation(fs_hz: float, passband_hz: float) -> int:
-    """Largest power of two D whose output rate fs/D is still >= 2.5x the passband."""
+def decimation(fs_hz: float, passband_hz: float, sample_count: int) -> int:
+    """Largest power of two D whose output rate fs/D is still >= 2.5x the
+    passband, and which leaves at least one of ``sample_count`` samples (D <= n,
+    so a spectrum padded to a multiple of D is shorter than 2n)."""
     factor = 1
-    while fs_hz / (factor * 2) >= 2.5 * passband_hz:
+    while factor * 2 <= sample_count and fs_hz / (factor * 2) >= 2.5 * passband_hz:
         factor *= 2
     return factor
 
@@ -207,7 +239,7 @@ def decimation(fs_hz: float, passband_hz: float) -> int:
 def recording_spectrum(iq: IqRecording, factor: int) -> np.ndarray:
     """FFT of the samples zero-padded to a multiple of ``factor`` points; it
     serves every channel whose (power-of-two) decimation divides ``factor``."""
-    return np.fft.fft(iq.samples, -(-len(iq.samples) // factor) * factor)
+    return scipy.fft.fft(iq.samples, -(-len(iq.samples) // factor) * factor)
 
 
 def subband_weights(taps: np.ndarray, size: int, factor: int, distance: np.ndarray) -> np.ndarray:
@@ -226,6 +258,14 @@ def subband_weights(taps: np.ndarray, size: int, factor: int, distance: np.ndarr
     # so their spectrum is the real, even zero-phase response
     response = np.fft.rfft(np.bincount((np.arange(taps.size) - taps.size // 2) % grid, taps, grid)).real
     return np.interp(distance / step, np.arange(response.size), response)
+
+
+def _circular_slice(a: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``a[(start + arange(count)) % a.size]`` for count <= a.size, from at most two slices."""
+    start %= a.size
+    if start + count <= a.size:
+        return a[start : start + count]
+    return np.concatenate((a[start:], a[: start + count - a.size]))
 
 
 def channelize(
@@ -251,7 +291,8 @@ def channelize(
     points (d | D; d = 1, the full grid, when N is shorter), see
     ``subband_weights``.  Filtering is circular: the capture's ends leak into
     each other over ``transient`` output samples.  The output has ceil(n/D)
-    samples at fs/D.
+    samples at fs/D, D <= n.  A filter of more taps than the spectrum has
+    points is a ParameterError.
     """
     if guard_factor <= 0:
         raise ParameterError("guard_factor must be positive")
@@ -263,21 +304,25 @@ def channelize(
         )
     bw = min(component.width * guard_factor, fs)
     transition = min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9)
-    taps = design_lowpass(bw, fs, transition, stop_atten_db)
-    factor = decimation(fs, bw)
+    factor = decimation(fs, bw, len(iq.samples))
     if spectrum is None:
         spectrum = recording_spectrum(iq, factor)
     size = spectrum.size
     if size % factor or size < len(iq.samples):
         raise ParameterError(f"a {size}-point spectrum does not serve decimation by {factor}")
+    taps = design_lowpass(bw, fs, transition, stop_atten_db, max_taps=size)
     kept = size // factor
+    high = kept - kept // 2  # bins 0 .. high-1 above the offset, then kept//2 below it
     bins = np.fft.ifftshift(np.arange(kept) - kept // 2)  # FFT order around DC
     k0 = int(round(offset * size / fs))
     delta = offset * size / fs - k0  # the offset's sub-bin remainder, in bins
     weights = subband_weights(taps, size, factor, np.abs(bins - delta))
-    y = spectrum[(bins + k0) % size] * weights
+    y = np.empty(kept, spectrum.dtype)
+    y[:high] = _circular_slice(spectrum, k0, high)
+    y[high:] = _circular_slice(spectrum, k0 - kept // 2, kept // 2)
+    y *= weights
     del bins, weights  # components run at once: keep each one's transients short
-    y = np.fft.ifft(y)[: -(-len(iq.samples) // factor)]
+    y = scipy.fft.ifft(y, overwrite_x=True)[: -(-len(iq.samples) // factor)]
     y /= factor
     y *= np.exp(-2j * np.pi * delta * factor / size * np.arange(y.size))
     return IqRecording(

@@ -1,11 +1,13 @@
 """End-to-end identification: spectrum, floor, per-component narrowband work.
 
-Stages: Welch spectrum -> noise-floor detection -> per-component plan
-matching -> channelization -> optional burst detection -> selected sensing
-method -> verdict.  Components run independently and at once on the one
-pool of ``dsp.map_on_cores`` that also runs scan lags and trials; a failing
-component records its error and leaves the others untouched.  Reports are
-deterministic for identical inputs, whatever the core count.
+Stages: Welch spectrum, beside the one recording FFT that every channel
+shares (padded to a multiple of the config's largest decimation) ->
+noise-floor detection -> per-component plan matching -> channelization ->
+optional burst detection -> selected sensing method -> verdict.  The front
+end's two transforms, then the components, run independently and at once on
+the one pool of ``dsp.map_on_cores`` that also runs scan lags and trials; a
+failing component records its error and leaves the others untouched.  Reports
+are deterministic for identical inputs, whatever the core count.
 """
 
 from __future__ import annotations
@@ -311,6 +313,16 @@ def _process_component(
         return ComponentResult(component, None, [], [], f"{type(exc).__name__}: {exc}")
 
 
+def largest_decimation(config: PipelineConfig, fs_hz: float, sample_count: int) -> int:
+    """The decimation of the narrowest component the config lets the floor detector
+    find (``floor_min_width_bins`` bins) at the smallest guard (``guard_factor``).
+    Widths are whole bins and the cyclic guard only widens, so every component's
+    power-of-two D divides it, and a spectrum padded to a multiple of it serves
+    every channel."""
+    narrowest = config.floor_min_width_bins * (fs_hz / config.fft_size) * config.guard_factor
+    return decimation(fs_hz, narrowest, sample_count)
+
+
 def run_identification(
     iq: IqRecording, config: PipelineConfig, plan: classify.ChannelPlan
 ) -> IdentificationReport:
@@ -327,9 +339,17 @@ def run_identification(
         "sample_count": len(iq.samples),
         "description": iq.description,
     }
+
+    def shared_spectrum() -> np.ndarray | None:
+        if not config.channelize_enabled or len(iq.samples) < config.fft_size:
+            return None
+        return recording_spectrum(iq, largest_decimation(config, iq.sample_rate_hz, len(iq.samples)))
+
+    # Welch and the one FFT that serves every channel run at once
     psd = None
     try:
-        psd = welch_psd(iq, config.fft_size, config.window, config.overlap)
+        psd, spectrum = map_on_cores(lambda stage: stage(), [
+            lambda: welch_psd(iq, config.fft_size, config.window, config.overlap), shared_spectrum])
         axis_abs = (iq.center_freq_hz + psd.freq_start_hz, psd.freq_step_hz)
         estimate, components = detect(psd.values_db, axis_abs, config.floor_params())
     except (InsufficientDataError, DegenerateSpectrumError) as exc:
@@ -340,12 +360,6 @@ def run_identification(
     noise_bins = psd.values_db <= estimate.threshold_db
     noise_var_fullband = float(np.mean(linear[noise_bins])) if noise_bins.any() else float(np.mean(linear))
 
-    # one FFT serves every channel, padded to a multiple of the largest decimation
-    # (narrowest component, smallest guard), which every power-of-two D divides
-    spectrum = None
-    if config.channelize_enabled and components:
-        narrowest = min(c.width for c in components) * config.guard_factor
-        spectrum = recording_spectrum(iq, decimation(iq.sample_rate_hz, narrowest))
     results = map_on_cores(lambda c: _process_component(
         iq, estimate, noise_var_fullband, c, plan, config, spectrum), components)
 

@@ -310,6 +310,30 @@ class TestIdentify:
             "of 50 Hz on this 196608-sample channel"
         ]
 
+    def test_tiny_guard_factor_ends_in_a_report(self, tmp_path):
+        # At guard_factor 1e-12 the narrowest channel the config allows would be
+        # decimated by 2**39, and the shared FFT padded to 8 TiB; capped at the
+        # largest power of two <= the sample count, the padding stays below 2n.
+        data = resources.files("hypersense.data")
+        rec, cfg, out = tmp_path / "pcs.cf32", tmp_path / "cfg.json", tmp_path / "r.json"
+        assert cli.main(["simulate", str(data / "pcs_multicarrier_scenario.json"), "-o", str(rec)]) == 0
+        cfg.write_text(json.dumps({"guard_factor": 1e-12}))
+        limited = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from hypersense import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "--config", str(cfg), "identify", str(rec),
+             "--plan", str(data / "pcs1900_plan.json"), "-o", str(out)],
+            env=_package_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the cyclic guard widens the one component back to a channel that identifies
+        assert [(c["error"], c["label"]) for c in json.loads(out.read_text())["components"]] == [
+            (None, "cdma2000-like")]
+
     @pytest.mark.parametrize("plan", [[1], {"entries": [{
         "name": "ISM", "band_hz": [2.4e9, 2.5e9],
         "candidates": [{"label": "x", "expected_bw_hz": ["x", 2]}]}]},

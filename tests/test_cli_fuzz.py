@@ -85,6 +85,42 @@ def test_identify_any_recording_and_sidecar(shape, n, seed, plan, data):
             _strict(out)
 
 
+# a 20,000-sample PSK channel whose plan candidate predicts its cyclic line, so
+# the cyclic scan runs on it with the drawn grid step and lag cap
+PSK_SCENARIO = {"sample_rate_hz": 2e6, "duration_s": 0.01, "noise_power_dbw": 0.0, "seed": 3,
+                "center_freq_hz": 2.44e9, "channels": [
+                    {"kind": "psk_burst", "center_freq_hz": 3e5, "snr_db": 12.0, "symbol_rate_hz": 1.25e5}]}
+PSK_PLAN = {"name": "fuzz", "entries": [{"name": "ISM", "band_hz": [2.4e9, 2.5e9], "candidates": [
+    {"label": "psk", "expected_bw_hz": [1e5, 5e5],
+     "cyclic_features_hz": [{"freq_hz": 1.25e5, "tolerance_hz": 1e3}]}]}]}
+
+pipeline_configs = st.fixed_dictionaries({
+    "fft_size": st.integers(3, 12).map(lambda e: 2**e),
+    "floor_min_width_bins": st.integers(1, 16) | st.integers(1, 2**53),
+    "guard_factor": st.floats(-12.0, 1.0).map(lambda e: 10.0**e),
+    "cyclic_step_hz": st.floats(1e3, 5e4) | st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
+    "tau_max": st.integers(0, 512) | st.integers(0, 2**64),
+})
+
+
+@hypothesis.settings(max_examples=20, deadline=None, database=None)
+@hypothesis.given(config=pipeline_configs, shape=st.sampled_from(["psk", "noise", "tone"]))
+def test_identify_any_pipeline_config(config, shape):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rec, cfg, plan, out = tmp / "rec.cf32", tmp / "cfg.json", tmp / "plan.json", tmp / "report.json"
+        if shape == "psk":
+            (tmp / "scn.json").write_text(json.dumps(PSK_SCENARIO))
+            assert cli.main(["simulate", str(tmp / "scn.json"), "-o", str(rec)]) == 0
+        else:
+            write_iq(IqRecording(SHAPES[shape](20_000, np.random.default_rng(3)), 2e6, 2.44e9), rec)
+        cfg.write_text(json.dumps(config))
+        plan.write_text(json.dumps(PSK_PLAN))
+        _run(["--config", str(cfg), "identify", str(rec), "--plan", str(plan), "-o", str(out)], out)
+        if out.exists():
+            _strict(out)
+
+
 @st.composite
 def scenarios(draw):
     """Up to 4,000 samples at 1 Hz to 1e15 Hz, up to three channels of two kinds,

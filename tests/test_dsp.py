@@ -5,9 +5,11 @@ spectrum scaling; filter behavior is checked on the measured frequency
 response and on tones pushed through the full channelizer.
 """
 
+import functools
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -69,6 +71,32 @@ class TestMapOnCores:
         assert not caller.is_alive(), "nested map_on_cores deadlocked"
         assert done == [[[i + j for j in range(10)] for i in range(size + 1)]]
 
+    def test_cancelled_task_keeps_nothing_alive(self, monkeypatch):
+        size = dsp._pool._max_workers
+        monkeypatch.setattr(dsp, "available_cores", lambda: size + 1)
+        # every pool thread holds an outer item while each thread's inner call
+        # queues pool tasks that cannot start; each checks, before any thread
+        # frees up, that its inner fn's captures died with the call
+        barrier = threading.Barrier(size + 1, timeout=10)
+
+        class Payload:
+            pass
+
+        def outer(i):
+            payload = Payload()
+            ref = weakref.ref(payload)
+            fn = functools.partial(lambda captured, j: j, payload)
+            del payload
+            barrier.wait()
+            assert dsp.map_on_cores(fn, range(10)) == list(range(10))
+            del fn
+            barrier.wait()
+            alive = ref() is not None
+            barrier.wait()
+            return alive
+
+        assert dsp.map_on_cores(outer, range(size + 1)) == [False] * (size + 1)
+
     def test_exception_stops_further_claims(self, cores):
         started = []
 
@@ -106,6 +134,24 @@ class TestMapOnCores:
 
 
 class TestWelchPsd:
+    @pytest.mark.parametrize("window", dsp.WINDOWS)
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    @pytest.mark.parametrize("n_seg", [100, 256, 257, 1952])
+    def test_blocks_bitwise_equal_one_batch(self, cores, window, overlap, n_seg):
+        # the segments are transformed in blocks on the pool; averaged in one
+        # reduction, they give the one-batch formula bit for bit
+        fft_size = 64
+        hop = int(round(fft_size * (1.0 - overlap)))
+        rng = np.random.default_rng(n_seg)
+        n = (n_seg - 1) * hop + fft_size + rng.integers(hop)  # a partial segment left over
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psd = dsp.welch_psd(rec(x), fft_size, window, overlap)
+        w = {"hann": np.hanning, "hamming": np.hamming, "rect": np.ones}[window](fft_size)
+        segs = np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop][:n_seg]
+        p = np.mean(np.abs(np.fft.fft(segs * w, axis=1)) ** 2, axis=0) / np.sum(w**2)
+        assert psd.averaging_count == n_seg
+        assert np.array_equal(psd.values_db, dsp.db10(np.fft.fftshift(p)))
+
     def test_pure_tone_peak_bin(self):
         fs, n = 1.024e6, 1024
         k = 160  # bin index over the shifted axis: freq = -fs/2 + k*fs/n
@@ -193,6 +239,15 @@ class TestDesignBandpass:
         with pytest.raises(ParameterError):
             dsp.design_lowpass(1e6, 5e6, 100e3, 7.9)  # below Kaiser's formulas
 
+    def test_max_taps(self):
+        taps = dsp.design_lowpass(0.5e6, 10e6, 100e3, 50.0)
+        assert np.array_equal(dsp.design_lowpass(0.5e6, 10e6, 100e3, 50.0, max_taps=taps.size), taps)
+        with pytest.raises(ParameterError, match=f"needs {taps.size} taps"):
+            dsp.design_lowpass(0.5e6, 10e6, 100e3, 50.0, max_taps=taps.size - 1)
+        # refused before the about 5e15 taps of a 1e-8 Hz transition are allocated
+        with pytest.raises(ParameterError, match="more than the 1000000 allowed"):
+            dsp.design_lowpass(1e-7, 10e6, 1e-8, 60.0, max_taps=10**6)
+
     def test_matches_scipy_kaiserord_firwin_bitwise(self):
         # the design scipy.signal gave before the package stopped importing it
         rng = np.random.default_rng(2024)
@@ -251,7 +306,7 @@ class TestChannelize:
     def test_response_grid(self, fs, n, width, step):
         bw = width * 1.25
         taps = dsp.design_lowpass(bw, fs, min(0.15 * bw, (fs / 2.0 - bw / 2.0) * 0.9))
-        factor = dsp.decimation(fs, bw)
+        factor = dsp.decimation(fs, bw, n)
         size = -(-n // factor) * factor
         kept = size // factor
         distance = np.abs(np.fft.ifftshift(np.arange(kept) - kept // 2) - 0.37)
@@ -352,6 +407,16 @@ class TestChannelize:
         # smallest power-of-two-divisor rate >= 2.5 MHz is 16/4 = 4 MHz
         assert out.sample_rate_hz == pytest.approx(4e6)
         assert len(out.samples) == 16000
+
+    def test_decimation_at_most_the_sample_count(self):
+        assert dsp.decimation(1e6, 10.0, 10**9) == 2**15  # 1e6 / 2**15 >= 25 Hz
+        assert dsp.decimation(1e6, 10.0, 1000) == 512  # the largest power of two <= 1000
+        assert dsp.decimation(1e6, 0.0, 1024) == 1024  # a zero passband still ends
+        assert dsp.decimation(1e6, 10.0, 0) == 1
+        # a 1e-9 Hz channel needs far more taps than its spectrum holds: 3,000
+        # samples padded to a multiple of D = 2,048, not of the passband's D = 2**48
+        with pytest.raises(ParameterError, match="taps, more than the 4096 allowed"):
+            dsp.channelize(rec(np.ones(3000), 1e6), self._component(0.0, 1e-9))
 
     def test_absolute_center_offsets(self):
         fs = 8e6

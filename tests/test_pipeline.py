@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hypersense import classify, dsp, pipeline, sensing
 from hypersense import wavegen as wg
@@ -141,15 +142,15 @@ class TestRunIdentification:
                                    bandwidth_hz=0.2e6) for f in (-0.6e6, 0.5e6)]
         spec = wg.ScenarioSpec(2e6, 0.03, 0.0, channels, seed=9, center_freq_hz=2.44e9)
         rec, _ = wg.compose_scenario(spec)
-        whole = []  # transforms of the whole recording; Welch's segments are not
-        fft = np.fft.fft
+        whole = []  # transforms of the whole recording; Welch's segment blocks are not
+        fft = scipy.fft.fft
 
         def counting_fft(a, *args, **kwargs):
             if np.ndim(a) == 1 and np.size(a) >= rec.samples.size:
                 whole.append(np.size(a))
             return fft(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(scipy.fft, "fft", counting_fft)
         report = pipeline.run_identification(
             rec, pipeline.PipelineConfig(channelize_enabled=enabled), ism_plan())
         assert sum(r.component.width > 0.1e6 for r in report.results) == 2

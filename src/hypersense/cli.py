@@ -162,6 +162,10 @@ def cmd_nfspem(args: argparse.Namespace) -> None:
         axis_vals = np.array([float(col[0]) for col in columns] if with_axis else [0.0, 1.0])
     except (ValueError, IndexError) as e:
         raise ParameterError(f"{path}: not a CSV of numbers: {e}") from e
+    for row, col in zip(rows, columns):
+        if len(col) > 2 or len(col) != len(columns[0]):
+            raise ParameterError(f"{path}: row {row!r} has {len(col)} columns and the first row "
+                                 f"{len(columns[0])}: every row must be `value` or `axis,value`")
     if not (np.all(np.abs(values) <= NFSPEM_MAX_DB) and np.all(np.abs(axis_vals) <= NFSPEM_MAX_AXIS)):
         raise ParameterError(f"{path}: values must be within +-{NFSPEM_MAX_DB:g} dB "
                              f"and axis values within +-{NFSPEM_MAX_AXIS:g}")

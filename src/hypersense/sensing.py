@@ -127,9 +127,7 @@ def energy_detect(iq: IqRecording, noise_var: float, pfa: float = 0.05) -> Evide
     )
 
 
-def scan_cyclic(
-    iq: IqRecording, alpha_grid: np.ndarray, tau_range: tuple[int, int] | None = None
-) -> CyclicProfile:
+def scan_cyclic(iq: IqRecording, alpha_grid: np.ndarray, tau_range: tuple[int, int]) -> CyclicProfile:
     """Cyclic-line profile over a grid of cyclic frequencies.
 
     Each grid point reports the strongest line magnitude (max over lags,
@@ -149,8 +147,6 @@ def scan_cyclic(
     fs = iq.sample_rate_hz
     if alphas[0] < 0 or alphas[-1] >= fs / 2.0:
         raise ParameterError("cyclic-frequency grid must lie within [0, fs/2)")
-    if tau_range is None:
-        tau_range = (0, min(256, x.size // 4))
     lo, hi = int(tau_range[0]), int(tau_range[1])
     if lo < 0 or hi < lo or hi >= x.size:
         raise ParameterError(f"bad tau range ({lo}, {hi})")
@@ -204,9 +200,7 @@ def scan_cyclic(
 
 
 def cyclic_evidence(
-    profile: CyclicProfile,
-    params: NoiseFloorParams | None = None,
-    windows: list[tuple[float, float]] | None = None,
+    profile: CyclicProfile, params: NoiseFloorParams, windows: list[tuple[float, float]]
 ) -> Evidence:
     """Peak extraction on a cyclic profile via the noise floor detector.
 
@@ -214,18 +208,14 @@ def cyclic_evidence(
     away from zero, so a single global floor over a wide grid is
     meaningless.  ``windows`` (cyclic-frequency intervals) run the floor
     detector per interval, where the local floor is flat; peaks must clear
-    their local threshold by ``PEAK_MARGIN_DB``.  Without windows the whole
-    grid is one interval; a constant window has no level structure and is
-    skipped.  ``statistic`` and ``threshold`` are the highest peak and the
-    local threshold of the window whose peak clears its threshold by the
-    most; with no usable window both are the profile maximum.  The scanned
-    profile is kept in ``extras["profile"]``.
+    their local threshold by ``PEAK_MARGIN_DB``.  A constant window has no
+    level structure and is skipped.  ``statistic`` and ``threshold`` are
+    the highest peak and the local threshold of the window whose peak
+    clears its threshold by the most; with no usable window both are the
+    profile maximum.  The scanned profile is kept in ``extras["profile"]``.
     """
-    params = params or NoiseFloorParams(min_width_bins=1, merge_gap_bins=0)
     grid = profile.alpha_grid
     step = float(grid[1] - grid[0]) if grid.size > 1 else 1.0
-    if windows is None:
-        windows = [(float(grid[0]), float(grid[-1]))]
 
     strong: list = []
     flags: list[str] = []
@@ -295,9 +285,7 @@ def _half_prominence_support(profile: np.ndarray) -> int:
 
 
 def cp_autocorr_detect(
-    iq: IqRecording,
-    lag_range: tuple[int, int] = (1, 256),
-    params: NoiseFloorParams | None = None,
+    iq: IqRecording, lag_range: tuple[int, int], params: NoiseFloorParams
 ) -> Evidence:
     """Detect repeated-tail structure from the sample autocorrelation.
 
@@ -314,7 +302,6 @@ def cp_autocorr_detect(
     lo, hi = int(lag_range[0]), int(lag_range[1])
     if lo < 1 or hi <= lo or hi >= x.size:
         raise ParameterError(f"bad lag range ({lo}, {hi})")
-    params = params or NoiseFloorParams(min_width_bins=1, merge_gap_bins=0)
 
     r = sample_autocorrelation(x, hi)
     mag_db = db10(np.abs(r[lo:]) ** 2)

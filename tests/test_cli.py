@@ -619,11 +619,15 @@ class TestNfspem:
         ("1.0\n", []),
         ("1.0\nnan\n2.0\n", []),
         ("1.0\n2.0\n5.0\n", ["--min-width", "0"]),
-    ], ids=["constant", "one_value", "nan", "min_width_0"])
-    def test_constant_input_exit2(self, tmp_path, text, flags):
+        ("0,1\n1,2\n5\n2,3\n", []),
+        ("0,1\n2,5,7\n3,2\n", []),
+    ], ids=["constant", "one_value", "nan", "min_width_0", "short_row", "three_columns"])
+    def test_constant_input_exit2(self, tmp_path, capsys, text, flags):
         path = tmp_path / "vals.csv"
         path.write_text(text)
         assert cli.main(["nfspem", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         "1.0\n2.0\n1e308\n1.5\n1e308\n1e308\n3.0\n1.2\n",

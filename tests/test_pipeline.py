@@ -387,6 +387,25 @@ class TestCyclicGrid:
             assert np.array_equal(grid, loop_grid(windows, step))
             assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize("seed", [60798140, 164644012])
+    def test_rescan_recovers_the_shipped_fsk_burst(self, seed):
+        # two renders of the shipped ISM scenario that the benchmark draws
+        # (run seeds 4000 and 4005): the FSK burst's first scan clears its
+        # window threshold by 5.84 and 5.97 dB, under PEAK_MARGIN_DB, and
+        # only the widened rescan names it
+        from importlib import resources
+
+        data = resources.files("hypersense.data")
+        spec = wg.load_scenario(str(data / "ism_burst_scenario.json"))
+        spec.seed = seed
+        rec, _ = wg.compose_scenario(spec)
+        report = pipeline.run_identification(
+            rec, pipeline.PipelineConfig(), classify.load_plan(str(data / "ism24_plan.json")))
+        (fsk,) = [r for r in report.results if r.verdict.label == "fh-burst-1msym"]
+        first, widened = [ev for ev in fsk.verdict.evidence if ev.method == sensing.METHOD_CYCLO]
+        assert fsk.verdict.extras["rescanned"]
+        assert not first.detected and widened.detected
+
     def test_step_below_scan_resolution_rejected(self, shipped):
         # PCS: one 196,608-sample channel at 9.8304 MS/s, 50 Hz resolution
         rec, plan = shipped["pcs"]

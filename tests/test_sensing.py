@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from hypersense import dsp, sensing
+from hypersense import dsp, pipeline, sensing
 from hypersense import wavegen as wg
 from hypersense.dsp import db10
 from hypersense.errors import (
@@ -18,7 +18,11 @@ from hypersense.errors import (
     UnsupportedMethodError,
 )
 from hypersense.iqio import IqRecording
-from hypersense.noisefloor import NoiseFloorParams, detect
+from hypersense.noisefloor import detect
+
+
+# the peak-floor policy the pipeline hands every spiky-axis method
+PEAK = pipeline.PipelineConfig().peak_params()
 
 
 def rec(x, fs=1e6, fc=0.0):
@@ -148,7 +152,7 @@ class TestScanCyclic:
         spec = wg.ScenarioSpec(fs, 0.01, 0.0, [chan], seed=21)
         recording, _ = wg.compose_scenario(spec)
         grid = np.arange(0.8e6, 1.6e6, 10e3)
-        profile = sensing.scan_cyclic(recording, grid)
+        profile = sensing.scan_cyclic(recording, grid, (0, 256))
         median = np.median(profile.magnitude_db)
         at_chip = profile.magnitude_db[np.abs(grid - 1.2288e6) <= 5e3]
         assert at_chip.max() - median >= 10.0
@@ -156,30 +160,28 @@ class TestScanCyclic:
     def test_grid_validation(self):
         x = rec(awgn(4000, np.random.default_rng(0)))
         with pytest.raises(ParameterError):
-            sensing.scan_cyclic(x, np.array([]))
+            sensing.scan_cyclic(x, np.array([]), (0, 256))
         with pytest.raises(ParameterError):
-            sensing.scan_cyclic(x, np.array([2e3, 1e3]))
+            sensing.scan_cyclic(x, np.array([2e3, 1e3]), (0, 256))
         with pytest.raises(ParameterError):
-            sensing.scan_cyclic(x, np.array([0.6e6]))
+            sensing.scan_cyclic(x, np.array([0.6e6]), (0, 256))
 
     def test_matches_direct_caf(self):
         rng = np.random.default_rng(33)
         fs = 1e6
         x = awgn(5000, rng)
         alpha = 40 * fs / 5000  # on the length-5000 FFT grid
-        profile = sensing.scan_cyclic(rec(x, fs), np.array([alpha]), (0, 8))
-        _, values, _ = cyclic_autocorrelation(rec(x, fs), alpha, (0, 8))
+        profile = sensing.scan_cyclic(rec(x, fs), np.array([alpha]), (0, 256))
+        _, values, _ = cyclic_autocorrelation(rec(x, fs), alpha, (0, 256))
         assert profile.magnitude_db[0] == pytest.approx(
             10 * np.log10(np.max(np.abs(values))), abs=1e-6
         )
 
 
-def per_lag_scan(iq, alpha_grid, tau_range=None):
+def per_lag_scan(iq, alpha_grid, tau_range):
     """Reference for scan_cyclic: one full-length FFT per lag, in lag order."""
     x, fs = iq.samples, iq.sample_rate_hz
     alphas = np.asarray(alpha_grid, dtype=float)
-    if tau_range is None:
-        tau_range = (0, min(256, x.size // 4))
     lo, hi = tau_range
     T = x.size
     L = sfft.next_fast_len(T)
@@ -214,6 +216,7 @@ class TestScanCyclicMatchesPerLagLoop:
     FS = 1e6
     # from 0 up to just below fs/2, so the last cell is clipped at the top bin
     GRID = np.append(np.arange(0.0, 495e3, 3e3), FS / 2.0 - 1.0)
+    # None: every lag up to the pipeline's cap, tau_max or a quarter of the recording
     TAU_RANGES = [(0, 0), (3, 3), (5, 40), None]
 
     def _bpsk(self, n, seed):
@@ -221,9 +224,14 @@ class TestScanCyclicMatchesPerLagLoop:
         chips = np.repeat(rng.choice([-1.0, 1.0], size=n // 8 + 1), 8)[:n]
         return rec(chips + awgn(n, rng), self.FS)
 
+    @staticmethod
+    def _longest(iq):
+        return (0, min(pipeline.PipelineConfig().tau_max, len(iq.samples) // 4))
+
     @pytest.mark.parametrize("tau_range", TAU_RANGES)
     def test_bitwise_at_40000_samples(self, cores, tau_range):
         iq = self._bpsk(40_000, 1)
+        tau_range = tau_range or self._longest(iq)
         got = sensing.scan_cyclic(iq, self.GRID, tau_range).magnitude_db
         assert np.array_equal(got, per_lag_scan(iq, self.GRID, tau_range))
 
@@ -231,6 +239,7 @@ class TestScanCyclicMatchesPerLagLoop:
     @pytest.mark.parametrize("tau_range", TAU_RANGES)
     def test_close_below_40000_samples(self, cores, n, tau_range):
         iq = self._bpsk(n, 2)
+        tau_range = tau_range or self._longest(iq)
         got = sensing.scan_cyclic(iq, self.GRID, tau_range).magnitude_db
         want = per_lag_scan(iq, self.GRID, tau_range)
         np.testing.assert_allclose(10 ** (got / 10), 10 ** (want / 10), rtol=1e-12)
@@ -252,7 +261,7 @@ class TestScanCyclicMatchesPerLagLoop:
         # the process-wide pool keeps its threads between calls; a scan
         # leaves no other thread running
         before = set(threading.enumerate())
-        sensing.scan_cyclic(self._bpsk(5_000, 3), self.GRID)
+        sensing.scan_cyclic(self._bpsk(5_000, 3), self.GRID, (0, 256))
         started = set(threading.enumerate()) - before
         assert all(t.name.startswith("hypersense-pool") for t in started)
 
@@ -267,7 +276,7 @@ class TestCyclicEvidence:
         values = np.concatenate([np.zeros(20), rng.normal(0.0, 0.5, 40)])
         values[45] = 20.0
         profile = self._profile(values)
-        ev = sensing.cyclic_evidence(profile, windows=[(0.0, 19e3), (20e3, 59e3)])
+        ev = sensing.cyclic_evidence(profile, PEAK, [(0.0, 19e3), (20e3, 59e3)])
         assert ev.detected
         assert [(pk.start_index, pk.peak_position) for pk in ev.peaks] == [(45, 45e3)]
         assert ev.extras["profile"] is profile
@@ -278,11 +287,10 @@ class TestCyclicEvidence:
         values[10] = 10.0
         values[45] = 20.0
         windows = [(0.0, 19e3), (20e3, 59e3)]
-        ev = sensing.cyclic_evidence(self._profile(values), windows=windows)
-        params = NoiseFloorParams(min_width_bins=1, merge_gap_bins=0)
+        ev = sensing.cyclic_evidence(self._profile(values), PEAK, windows)
         margins = []
         for lo, hi in ((0, 20), (20, 60)):
-            estimate, comps = detect(values[lo:hi], (lo * 1e3, 1e3), params)
+            estimate, comps = detect(values[lo:hi], (lo * 1e3, 1e3), PEAK)
             margins.append(max(c.peak_value_db for c in comps) - estimate.threshold_db)
         assert margins[1] > margins[0] > 0.0
         assert ev.statistic == 20.0
@@ -292,7 +300,7 @@ class TestCyclicEvidence:
         values = np.random.default_rng(5).normal(0.0, 0.5, 40)
         values[10] = np.nan
         with pytest.raises(ParameterError):
-            sensing.cyclic_evidence(self._profile(values))
+            sensing.cyclic_evidence(self._profile(values), PEAK, [(0.0, 39e3)])
 
 
 class TestCpAutocorrDetect:
@@ -306,7 +314,7 @@ class TestCpAutocorrDetect:
 
     def test_clean_exact(self):
         recording = self._ofdm_rec(seed=1, snr_db=30.0)
-        ev = sensing.cp_autocorr_detect(recording, (1, 256))
+        ev = sensing.cp_autocorr_detect(recording, (1, 256), PEAK)
         assert ev.detected
         assert ev.extras["useful_length"] == 64
         assert ev.extras["cp_length"] == 16
@@ -315,7 +323,7 @@ class TestCpAutocorrDetect:
     def test_snr0_mostly_exact(self):
         hits = 0
         for seed in range(20):
-            ev = sensing.cp_autocorr_detect(self._ofdm_rec(seed=100 + seed), (1, 256))
+            ev = sensing.cp_autocorr_detect(self._ofdm_rec(seed=100 + seed), (1, 256), PEAK)
             if ev.detected and (ev.extras.get("useful_length"), ev.extras.get("cp_length")) == (64, 16):
                 hits += 1
         assert hits >= 18
@@ -323,15 +331,15 @@ class TestCpAutocorrDetect:
     def test_white_noise_no_detection(self):
         rng = np.random.default_rng(55)
         for _ in range(5):
-            ev = sensing.cp_autocorr_detect(rec(awgn(80000, rng)), (1, 256))
+            ev = sensing.cp_autocorr_detect(rec(awgn(80000, rng)), (1, 256), PEAK)
             assert not ev.detected
 
     def test_bad_lag_range(self):
         x = rec(awgn(1000, np.random.default_rng(0)))
         with pytest.raises(ParameterError):
-            sensing.cp_autocorr_detect(x, (0, 50))
+            sensing.cp_autocorr_detect(x, (0, 50), PEAK)
         with pytest.raises(ParameterError):
-            sensing.cp_autocorr_detect(x, (10, 5))
+            sensing.cp_autocorr_detect(x, (10, 5), PEAK)
 
 
 class TestRegistry:

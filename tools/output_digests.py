@@ -10,9 +10,10 @@ own seed and at ``--seed 11`` and ``--seed 12``, and the recording is
 identified against the matching shipped plan with ``--emit-psd``,
 ``--emit-cyclic`` and ``--emit-envelope``; ``nfspem`` then runs over the
 written ``psd.csv``.  No shipped scenario has a ``psk_burst`` or
-``rect_noise`` channel, so an inline scenario with both is simulated too,
-and a small ``evaluate`` grid writes a CSV.  One line per written file:
-``<case> <file> <sha256>``.
+``rect_noise`` channel, so an inline scenario with both goes through the
+same steps, against an inline plan whose one cyclic candidate none of its
+components carries, and a small ``evaluate`` grid writes a CSV.  One line
+per written file: ``<case> <file> <sha256>``.
 
 ``--one-core`` first pins this process to the first CPU of its affinity
 mask, so the package sees one core and runs no work on its thread pool;
@@ -52,6 +53,15 @@ INLINE_SCENARIO = {
         {"kind": "rect_noise", "center_freq_hz": -2.0e4, "snr_db": 3.0, "bandwidth_hz": 1.5e5},
         {"kind": "rect_noise", "center_freq_hz": -9.0e5, "snr_db": 12.0, "bandwidth_hz": 2e5},
     ],
+}
+# every inline component fits this bandwidth and lacks the 0.5 MHz line: a
+# cyclic verdict that is downgraded
+INLINE_PLAN = {
+    "name": "cyc", "entries": [{
+        "name": "band", "band_hz": [-1e6, 1e6],
+        "candidates": [{"label": "cyc", "expected_bw_hz": [1e5, 3e5],
+                        "cyclic_features_hz": [{"freq_hz": 5e5, "tolerance_hz": 1e4}]}],
+    }],
 }
 EVALUATE = ["--seed", "5", "evaluate", "--snr-list=-4,10", "--occ-list", "0,0.6",
             "--trials", "8", "--resamples", "200"]
@@ -101,8 +111,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "scenario.json").write_text(json.dumps(INLINE_SCENARIO))
-        _main(["simulate", str(work / "scenario.json"), "-o", str(work / "rec.cf32")])
-        _digests(f"psk_rect@{INLINE_SCENARIO['seed']}", work, FILES[:3])
+        (work / "plan.json").write_text(json.dumps(INLINE_PLAN))
+        run_case(work / "scenario.json", work / "plan.json", None, work)
+        _digests(f"psk_rect@{INLINE_SCENARIO['seed']}", work, FILES)
         _main([*EVALUATE, "-o", str(work / "grid.csv")])
         _digests("evaluate@5", work, ["grid.csv"])
 

@@ -101,12 +101,11 @@ class PowerSpectrum:
     values_db: np.ndarray
     freq_start_hz: float
     freq_step_hz: float
-    fft_size: int
     averaging_count: int
 
     @property
     def freqs_hz(self) -> np.ndarray:
-        return self.freq_start_hz + self.freq_step_hz * np.arange(self.fft_size)
+        return self.freq_start_hz + self.freq_step_hz * np.arange(self.values_db.size)
 
     @property
     def axis(self) -> tuple[float, float]:
@@ -166,7 +165,6 @@ def welch_psd(
         values_db=db10(p),
         freq_start_hz=-fs / 2.0,
         freq_step_hz=fs / fft_size,
-        fft_size=fft_size,
         averaging_count=int(n_seg),
     )
 

@@ -92,7 +92,6 @@ class ConfidenceCell:
 class TrialResult:
     confidence: float
     detected: np.ndarray  # bins declared signal (inside a detected component)
-    full_band: bool  # occupancy 1.0 degenerates to a single-channel test
 
 
 def _occupancy_channels(
@@ -161,9 +160,7 @@ def run_trial(
     errors = _misdeclared_share(detected, ~mask, power) + _misdeclared_share(
         ~detected, mask, power
     )
-    return TrialResult(
-        confidence=1.0 - 0.5 * errors, detected=detected, full_band=occupancy >= 1.0
-    )
+    return TrialResult(confidence=1.0 - 0.5 * errors, detected=detected)
 
 
 def _misdeclared_share(
@@ -206,6 +203,8 @@ def confidence_grid(
         raise ParameterError("need at least 1 bootstrap resample")
     if fft_size < 1:
         raise ParameterError(f"fft_size must be >= 1, got {fft_size}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     grid = [(snr, occ) for snr in snr_list for occ in occ_list]
     jobs = [
         (snr, occ, fft_size, int(np.random.SeedSequence([seed, cell_index, t]).generate_state(1)[0]))

@@ -35,7 +35,6 @@ class PipelineConfig:
     floor_merge_gap_bins: int = 2
     guard_factor: float = 1.25
     stop_atten_db: float = 60.0
-    channelize_enabled: bool = True
     burst_detection: str = "auto"  # auto | on | off
     envelope_smooth_len: int = 128
     cyclic_step_hz: float = 10e3
@@ -191,39 +190,41 @@ def _grid_from_windows(windows: list[tuple[float, float]], step: float) -> np.nd
     ])
 
 
-def _run_method(
-    method: str,
+def _cyclic_scan(
     candidate: classify.CandidateSignature,
     channelized: IqRecording,
     config: PipelineConfig,
-    widened: bool,
-    passband_hz: float,
+    widen: float = 1.0,
 ) -> sensing.Evidence:
-    """Run the cyclic scan or the autocorrelation detector on one component.
-
-    Energy evidence is gathered for every component before method
-    selection, so an energy candidate never comes here.
-    """
+    """Scan the candidate's cyclic windows, ``widen`` times their radius, on one channel."""
     fs = channelized.sample_rate_hz
     n = len(channelized.samples)
-    if method == sensing.METHOD_CYCLO:
-        # the scan resolves no finer than fs / L: a finer grid only costs memory
-        resolution = fs / next_fast_len(n)
-        if config.cyclic_step_hz < resolution:
-            raise ParameterError(
-                f"cyclic_step_hz {config.cyclic_step_hz:g} Hz is below the cyclic scan's "
-                f"resolution of {resolution:g} Hz on this {n}-sample channel"
-            )
-        windows = _cyclic_windows(
-            candidate, fs, config.cyclic_step_hz, widen=2.0 if widened else 1.0
+    # the scan resolves no finer than fs / L: a finer grid only costs memory
+    resolution = fs / next_fast_len(n)
+    if config.cyclic_step_hz < resolution:
+        raise ParameterError(
+            f"cyclic_step_hz {config.cyclic_step_hz:g} Hz is below the cyclic scan's "
+            f"resolution of {resolution:g} Hz on this {n}-sample channel"
         )
-        grid = _grid_from_windows(windows, config.cyclic_step_hz)
-        # the cyclic autocorrelation at alpha is supported within about one
-        # period, |tau| <~ fs/alpha (Gardner 1991); longer lags add only noise
-        alpha_min = min(alpha for _, alpha, _ in candidate.cyclic_lines())
-        tau_hi = min(config.tau_max, math.ceil(2.0 * fs / alpha_min), n // 4)
-        profile = sensing.scan_cyclic(channelized, grid, (0, tau_hi))
-        return sensing.cyclic_evidence(profile, config.peak_params(), windows)
+    windows = _cyclic_windows(candidate, fs, config.cyclic_step_hz, widen)
+    grid = _grid_from_windows(windows, config.cyclic_step_hz)
+    # the cyclic autocorrelation at alpha is supported within about one
+    # period, |tau| <~ fs/alpha (Gardner 1991); longer lags add only noise
+    alpha_min = min(alpha for _, alpha, _ in candidate.cyclic_lines())
+    tau_hi = min(config.tau_max, math.ceil(2.0 * fs / alpha_min), n // 4)
+    profile = sensing.scan_cyclic(channelized, grid, (0, tau_hi))
+    return sensing.cyclic_evidence(profile, config.peak_params(), windows)
+
+
+def _cp_autocorr(
+    candidate: classify.CandidateSignature,
+    channelized: IqRecording,
+    config: PipelineConfig,
+    passband_hz: float,
+) -> sensing.Evidence:
+    """Search the channel's lag autocorrelation for the candidate's cyclic prefix."""
+    fs = channelized.sample_rate_hz
+    n = len(channelized.samples)
     # a band-limited channel is self-correlated out to ~fs/bandwidth
     # lags; start the search above that
     lo = 1
@@ -258,23 +259,11 @@ def _process_component(
             # keep enough passband around the component for those pairs
             alpha_max = max(alpha for _, alpha, _ in top.cyclic_lines())
             guard = max(guard, 1.6 * alpha_max / max(component.width, 1.0))
-        if config.channelize_enabled:
-            channelized = channelize(
-                iq,
-                component,
-                guard_factor=guard,
-                stop_atten_db=config.stop_atten_db,
-                spectrum=spectrum,
-            )
-        else:
-            channelized = iq
+        channelized = channelize(
+            iq, component, guard_factor=guard, stop_atten_db=config.stop_atten_db, spectrum=spectrum
+        )
 
         noise_var = noise_var_fullband * channelized.sample_rate_hz / iq.sample_rate_hz
-        passband_hz = (
-            min(component.width * guard, iq.sample_rate_hz)
-            if config.channelize_enabled
-            else iq.sample_rate_hz
-        )
         evidences: list[sensing.Evidence] = []
         if len(channelized.samples) >= 100:
             evidences.append(
@@ -289,24 +278,25 @@ def _process_component(
         if want_bursts:
             bursts, burst_flags = detect_bursts(channelized, config)
 
-        method = classify.ssmsb_select(top) if top is not None else None
-        for widened in (False, True):
-            if method in (sensing.METHOD_CYCLO, sensing.METHOD_AUTOCORR):
-                evidences.append(
-                    _run_method(
-                        method, top, channelized, config,
-                        widened=widened, passband_hz=passband_hz,
-                    )
-                )
+        def decide() -> classify.IdentificationVerdict:
             if estimate.all_tied:
                 for ev in evidences:
                     if "nfspem_tied" not in ev.flags:
                         ev.flags.append("nfspem_tied")
-            verdict = classify.decide(top, evidences, labels)
-            if widened:
-                verdict.extras["rescanned"] = True
-            elif verdict.verdict == classify.VERDICT_IDENTIFIED or method != sensing.METHOD_CYCLO:
-                break  # only a cyclic downgrade earns one widened rescan
+            return classify.decide(top, evidences, labels)
+
+        method = classify.ssmsb_select(top) if top is not None else None
+        if method == sensing.METHOD_CYCLO:
+            evidences.append(_cyclic_scan(top, channelized, config))
+        elif method == sensing.METHOD_AUTOCORR:
+            passband_hz = min(component.width * guard, iq.sample_rate_hz)
+            evidences.append(_cp_autocorr(top, channelized, config, passband_hz))
+        verdict = decide()
+        if method == sensing.METHOD_CYCLO and verdict.verdict != classify.VERDICT_IDENTIFIED:
+            # only a cyclic downgrade earns one rescan, over windows twice as wide
+            evidences.append(_cyclic_scan(top, channelized, config, widen=2.0))
+            verdict = decide()
+            verdict.extras["rescanned"] = True
 
         return ComponentResult(component, verdict, bursts, burst_flags, None)
     except Exception as exc:  # per-component isolation
@@ -341,7 +331,7 @@ def run_identification(
     }
 
     def shared_spectrum() -> np.ndarray | None:
-        if not config.channelize_enabled or len(iq.samples) < config.fft_size:
+        if len(iq.samples) < config.fft_size:
             return None
         return recording_spectrum(iq, largest_decimation(config, iq.sample_rate_hz, len(iq.samples)))
 

@@ -171,8 +171,9 @@ def test_acceptance_4_filtering_effect():
 
     with_ch = pipeline.run_identification(rec, pipeline.PipelineConfig(), plan)
     r_on = _fsk_result(with_ch, fsk_abs)
+    # a guard of fft_size or more passes the whole band: no filtering
     without_ch = pipeline.run_identification(
-        rec, pipeline.PipelineConfig(channelize_enabled=False), plan
+        rec, pipeline.PipelineConfig(guard_factor=1024.0), plan
     )
     r_off = _fsk_result(without_ch, fsk_abs)
 

@@ -498,8 +498,9 @@ class TestBadConfig:
         ([], {"cyclic_step_hz": 0}),
         ([], {"fft_size": "1024"}),
         ([], {"parallel": False}),
+        ([], {"channelize_enabled": False}),
     ], ids=["fft_size_1000", "fft_size_0", "k_2", "overlap_1.5", "tau_max_str", "cyclic_step_0",
-            "fft_size_str", "removed_field"])
+            "fft_size_str", "removed_field", "channelize_enabled"])
     def test_exit2_and_no_report(self, tmp_path, recording_file, plan_file, flags, config):
         if config is not None:
             path = tmp_path / "cfg.json"
@@ -541,8 +542,10 @@ class TestExitCodes:
         ["--fft-size=-8", *SIMULATE, "-o", "{tmp}/x"],
         ["--fft-size=0", *EVALUATE, "-o", "{tmp}/x"],
         ["--fft-size=-8", *EVALUATE, "-o", "{tmp}/x"],
+        ["--seed=-1", *EVALUATE, "-o", "{tmp}/x"],
     ], ids=["simulate_missing_dir", "identify_missing_dir", "evaluate_missing_dir",
-            "simulate_fft_0", "simulate_fft_-8", "evaluate_fft_0", "evaluate_fft_-8"])
+            "simulate_fft_0", "simulate_fft_-8", "evaluate_fft_0", "evaluate_fft_-8",
+            "evaluate_seed_-1"])
     def test_exit2_writes_nothing(self, tmp_path, scenario_file, recording_file, plan_file, argv):
         before = sorted(tmp_path.rglob("*"))
         paths = {"tmp": tmp_path, "scn": scenario_file, "rec": recording_file, "plan": plan_file}

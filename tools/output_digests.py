@@ -12,8 +12,11 @@ identified against the matching shipped plan with ``--emit-psd``,
 written ``psd.csv``.  No shipped scenario has a ``psk_burst`` or
 ``rect_noise`` channel, so an inline scenario with both goes through the
 same steps, against an inline plan whose one cyclic candidate none of its
-components carries, and a small ``evaluate`` grid writes a CSV.  One line
-per written file: ``<case> <file> <sha256>``.
+components carries, and a small ``evaluate`` grid writes a CSV.  The
+shipped ISM recording is identified once more with ``--config``
+``{"guard_factor": 1024}``, a guard of at least ``fft_size`` that senses
+every component on the whole band, and its analysis files are digested
+again.  One line per written file: ``<case> <file> <sha256>``.
 
 ``--one-core`` first pins this process to the first CPU of its affinity
 mask, so the package sees one core and runs no work on its thread pool;
@@ -63,6 +66,7 @@ INLINE_PLAN = {
                         "cyclic_features_hz": [{"freq_hz": 5e5, "tolerance_hz": 1e4}]}],
     }],
 }
+WHOLE_BAND = {"guard_factor": 1024}
 EVALUATE = ["--seed", "5", "evaluate", "--snr-list=-4,10", "--occ-list", "0,0.6",
             "--trials", "8", "--resamples", "200"]
 
@@ -82,16 +86,17 @@ def _digests(case: str, work: Path, names) -> None:
 
 def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
     seed_args = [] if seed is None else ["--seed", str(seed)]
-    rec = work / "rec.cf32"
-    steps = (
-        [*seed_args, "simulate", str(scenario), "-o", str(rec)],
-        ["identify", str(rec), "--plan", str(plan), "-o", str(work / "report.json"),
-         "--emit-psd", str(work / "psd.csv"), "--emit-cyclic", str(work / "cyclic.csv"),
-         "--emit-envelope", str(work / "envelope.csv")],
-        ["nfspem", str(work / "psd.csv"), "-o", str(work / "nfspem.json")],
-    )
-    for argv in steps:
-        _main(argv)
+    _main([*seed_args, "simulate", str(scenario), "-o", str(work / "rec.cf32")])
+    analyse(plan, work)
+
+
+def analyse(plan: Path, work: Path, config_args: tuple[str, ...] = ()) -> None:
+    """Identify ``work/rec.cf32`` with every emit file, then run ``nfspem`` on its spectrum."""
+    _main([*config_args, "identify", str(work / "rec.cf32"), "--plan", str(plan),
+           "-o", str(work / "report.json"), "--emit-psd", str(work / "psd.csv"),
+           "--emit-cyclic", str(work / "cyclic.csv"),
+           "--emit-envelope", str(work / "envelope.csv")])
+    _main(["nfspem", str(work / "psd.csv"), "-o", str(work / "nfspem.json")])
 
 
 def main() -> None:
@@ -108,6 +113,10 @@ def main() -> None:
                 run_case(Path(str(data / scenario)), Path(str(data / plan)), seed, work)
                 case = f"{scenario.split('_')[0]}@{'shipped' if seed is None else seed}"
                 _digests(case, work, FILES)
+                if case == "ism@shipped":
+                    (work / "config.json").write_text(json.dumps(WHOLE_BAND))
+                    analyse(Path(str(data / plan)), work, ("--config", str(work / "config.json")))
+                    _digests(f"{case}+whole_band", work, FILES[3:])
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "scenario.json").write_text(json.dumps(INLINE_SCENARIO))

@@ -2,9 +2,9 @@
 
 A channel plan lists frequency bands and, per band, candidate signal
 signatures (expected bandwidth, cyclic features, a cyclic prefix).  Detected
-components are matched against the plan, a sensing method is selected per
-candidate from the method registry, and the collected evidence is
-rendered into a verdict.
+components are matched against the plan, a sensing method with a pipeline
+stage is selected per candidate, and the collected evidence is rendered
+into a verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .sensing import (
     METHOD_CYCLO,
     METHOD_ENERGY,
     Evidence,
-    require_method,
+    method_key,
 )
 
 VERDICT_IDENTIFIED = "identified"
@@ -76,7 +76,7 @@ class CandidateSignature:
                     f"got {f.freq_hz} and {f.tolerance_hz}"
                 )
         if self.preferred_method:
-            require_method(self.preferred_method)
+            method_key(self.preferred_method)
 
     def cyclic_lines(self) -> list[tuple[str, float, float]]:
         """The cyclic lines the signature predicts, as ``(kind, alpha_hz, tol_hz)``.
@@ -194,13 +194,13 @@ def scb_match(component: DetectedComponent, plan: ChannelPlan) -> list[Candidate
 def ssmsb_select(candidate: CandidateSignature) -> str:
     """Pick the sensing method a candidate's signature calls for.
 
-    An explicit ``preferred_method`` wins (checked against the registry when
+    An explicit ``preferred_method`` wins (checked against ``METHODS`` when
     the plan is loaded).  Otherwise: cyclic features select the cyclic scan,
     a repeated-tail (CP/midamble) feature the autocorrelation detector, and
     a bare signature falls back to energy detection.
     """
     if candidate.preferred_method:
-        return require_method(candidate.preferred_method).key
+        return method_key(candidate.preferred_method)
     if candidate.cyclic_features_hz:
         return METHOD_CYCLO
     if candidate.cp_feature is not None:
@@ -248,15 +248,17 @@ def decide(
     candidate: CandidateSignature | None,
     evidences: list[Evidence],
     candidates_ranked: list[str],
+    floor_tied: bool = False,
 ) -> IdentificationVerdict:
     """Render the verdict for one component.
 
     Identification requires at least one matched feature within its
-    tolerance.  Evidence produced from an all-tied level histogram (no
-    change point) downgrades the verdict to low confidence, since the
-    floor threshold that produced it is meaningless.
+    tolerance.  A wideband floor from an all-tied level histogram (no
+    change point), ``floor_tied``, or evidence from one downgrades the
+    verdict to low confidence, since the floor threshold that produced the
+    component or the evidence is meaningless.
     """
-    tied = any("nfspem_tied" in ev.flags for ev in evidences)
+    tied = floor_tied or any("nfspem_tied" in ev.flags for ev in evidences)
     matched: list[MatchedFeature] = []
     if candidate is not None:
         for ev in evidences:

@@ -18,7 +18,7 @@ class DegenerateSpectrumError(ValueError):
 
 
 class UnsupportedMethodError(ValueError):
-    """A sensing method is unknown, or registered with no pipeline stage behind it."""
+    """A sensing method is not one of the methods a pipeline stage runs."""
 
 
 class IqFormatError(ValueError):

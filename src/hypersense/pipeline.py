@@ -273,17 +273,10 @@ def _process_component(
         bursts: list[BurstRecord] = []
         burst_flags: list[str] = []
         want_bursts = config.burst_detection == "on" or (
-            config.burst_detection == "auto" and top is not None and top.burst_header
+            config.burst_detection == "auto" and top is not None and top.burst_header is not None
         )
         if want_bursts:
             bursts, burst_flags = detect_bursts(channelized, config)
-
-        def decide() -> classify.IdentificationVerdict:
-            if estimate.all_tied:
-                for ev in evidences:
-                    if "nfspem_tied" not in ev.flags:
-                        ev.flags.append("nfspem_tied")
-            return classify.decide(top, evidences, labels)
 
         method = classify.ssmsb_select(top) if top is not None else None
         if method == sensing.METHOD_CYCLO:
@@ -291,11 +284,11 @@ def _process_component(
         elif method == sensing.METHOD_AUTOCORR:
             passband_hz = min(component.width * guard, iq.sample_rate_hz)
             evidences.append(_cp_autocorr(top, channelized, config, passband_hz))
-        verdict = decide()
+        verdict = classify.decide(top, evidences, labels, estimate.all_tied)
         if method == sensing.METHOD_CYCLO and verdict.verdict != classify.VERDICT_IDENTIFIED:
             # only a cyclic downgrade earns one rescan, over windows twice as wide
             evidences.append(_cyclic_scan(top, channelized, config, widen=2.0))
-            verdict = decide()
+            verdict = classify.decide(top, evidences, labels, estimate.all_tied)
             verdict.extras["rescanned"] = True
 
         return ComponentResult(component, verdict, bursts, burst_flags, None)

@@ -2,10 +2,11 @@
 
 The pipeline runs energy detection, cyclic-profile scanning (the
 max over lags of the cyclic autocorrelation) and cyclic-prefix detection
-via the sample autocorrelation.  The other rows of ``METHOD_REGISTRY``
-(matched filtering and template matching among them: a channel plan
-cannot carry a template) are the paper's method list, with no algorithm
-here; selecting one raises ``UnsupportedMethodError``.
+via the sample autocorrelation; ``METHODS`` maps each one's key to the
+paper's name.  The paper's other eight methods (matched filtering and
+template matching among them: a channel plan cannot carry a template) have
+no algorithm here, and selecting one, like any other name, raises
+``UnsupportedMethodError``.
 
 Peak extraction on every method's output axis is delegated to the noise
 floor detector, so the detection behavior is uniform across axes.
@@ -38,48 +39,25 @@ PEAK_MARGIN_DB = 6.0
 METHOD_ENERGY = "energy"
 METHOD_CYCLO = "cyclo"
 METHOD_AUTOCORR = "autocorr"
-METHOD_MATCHED_FILTER = "matched_filter"
-METHOD_TEMPLATE_MATCH = "template_match"
+
+# the methods a pipeline stage runs, by key, with the paper's names
+METHODS = {
+    METHOD_ENERGY: "Energy Detection",
+    METHOD_CYCLO: "Cyclostationary Feature Detection",
+    METHOD_AUTOCORR: "Autocorrelation",
+}
 
 
-@dataclass
-class MethodInfo:
-    key: str
-    name: str
-    implemented: bool  # a pipeline stage runs it
-
-
-METHOD_REGISTRY: tuple[MethodInfo, ...] = (
-    MethodInfo(METHOD_ENERGY, "Energy Detection", True),
-    MethodInfo(METHOD_MATCHED_FILTER, "Matched Filter", False),
-    MethodInfo(METHOD_CYCLO, "Cyclostationary Feature Detection", True),
-    MethodInfo("statistical_tests", "Statistical Tests", False),
-    MethodInfo("entropy", "Entropy Based", False),
-    MethodInfo("eigenvalue", "Eigenvalue Based", False),
-    MethodInfo(METHOD_AUTOCORR, "Autocorrelation", True),
-    MethodInfo(METHOD_TEMPLATE_MATCH, "Template Matching", False),
-    MethodInfo("multitaper", "Multitaper Based", False),
-    MethodInfo("wavelet", "Wavelet", False),
-    MethodInfo("multiband_joint", "Multiband Joint Detection", False),
-)
-
-
-def lookup_method(key_or_name: str) -> MethodInfo:
+def method_key(key_or_name: str) -> str:
+    """The key of the method named by its key or paper's name, in any case."""
     wanted = key_or_name.strip().lower()
-    for info in METHOD_REGISTRY:
-        if wanted in (info.key, info.name.lower()):
-            return info
-    raise UnsupportedMethodError(f"unknown sensing method {key_or_name!r}")
-
-
-def require_method(key_or_name: str) -> MethodInfo:
-    info = lookup_method(key_or_name)
-    if not info.implemented:
-        raise UnsupportedMethodError(
-            f"sensing method {info.name!r} is registered for reference only "
-            "and has no pipeline stage behind it"
-        )
-    return info
+    for key, name in METHODS.items():
+        if wanted in (key, name.lower()):
+            return key
+    raise UnsupportedMethodError(
+        f"sensing method {key_or_name!r} has no pipeline stage; "
+        f"the methods are {', '.join(METHODS)}"
+    )
 
 
 @dataclass

@@ -88,6 +88,26 @@ class TestRunIdentification:
         assert r.verdict.candidates_ranked == ["c"]
         assert [ev.method for ev in r.verdict.evidence] == [sensing.METHOD_ENERGY]
 
+    def test_tied_wideband_floor_downgrades_without_flagging_evidence(self):
+        # a period whose DFT has unit magnitude on 512 contiguous bins: under
+        # a rect window without overlap every level of the spectrum is tied
+        spectrum = np.zeros(1024, complex)
+        spectrum[:512] = 1.0
+        rec = IqRecording(np.tile(np.fft.ifft(spectrum), 64), 2e6, 2.44e9)
+        plan = classify.ChannelPlan(name="tied", entries=[classify.ChannelPlanEntry(
+            name="E", band_hz=(2.4e9, 2.4835e9),
+            candidates=[classify.CandidateSignature(
+                label="c", expected_bw_hz=(0.5e6, 1.5e6),
+                cyclic_features_hz=[classify.CyclicFeature(5e5, 1e4)])])])
+        cfg = pipeline.PipelineConfig(window="rect", overlap=0.0)
+        report = pipeline.run_identification(rec, cfg, plan)
+        assert report.noise_floor["all_tied"] and report.flags == ["nfspem_tied"]
+        [r] = report.results
+        assert r.verdict.verdict == classify.VERDICT_LOW_CONFIDENCE
+        # the tie is stored once, not copied into each evidence's flags
+        assert [(ev.method, ev.flags) for ev in r.verdict.evidence] == [
+            (sensing.METHOD_ENERGY, []), (sensing.METHOD_CYCLO, []), (sensing.METHOD_CYCLO, [])]
+
     def test_component_isolation_on_failing_method(self):
         # one band's candidate has its only cyclic feature above the channel
         # rate, so its scan has nothing to search; the other component's
@@ -292,10 +312,12 @@ class TestBurstGating:
         r = self._main_result(report)
         assert r.bursts == [] and r.burst_flags == []
 
-    def test_auto_runs_only_with_burst_header(self):
+    # the header's contents are not read: an empty one runs burst detection too
+    @pytest.mark.parametrize("header", [{"period_hz": 1e6}, {}], ids=["period", "empty"])
+    def test_auto_runs_only_with_burst_header(self, header):
         rec = self._scenario()
         cfg = pipeline.PipelineConfig(burst_detection="auto")
-        with_header = pipeline.run_identification(rec, cfg, self._plan({"period_hz": 1e6}))
+        with_header = pipeline.run_identification(rec, cfg, self._plan(header))
         without = pipeline.run_identification(rec, cfg, self._plan(None))
         r_with = self._main_result(with_header)
         r_without = self._main_result(without)

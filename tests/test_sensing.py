@@ -343,22 +343,28 @@ class TestCpAutocorrDetect:
 
 
 class TestRegistry:
-    def test_all_rows_present(self):
-        names = {m.name for m in sensing.METHOD_REGISTRY}
-        assert {"Energy Detection", "Matched Filter", "Cyclostationary Feature Detection",
-                "Statistical Tests", "Entropy Based", "Eigenvalue Based", "Autocorrelation",
-                "Template Matching", "Multitaper Based", "Wavelet",
-                "Multiband Joint Detection"} <= names
+    OTHER_METHODS = {"matched_filter": "Matched Filter", "statistical_tests": "Statistical Tests",
+                     "entropy": "Entropy Based", "eigenvalue": "Eigenvalue Based",
+                     "template_match": "Template Matching", "multitaper": "Multitaper Based",
+                     "wavelet": "Wavelet", "multiband_joint": "Multiband Joint Detection"}
 
     def test_unimplemented_selection_raises(self):
-        with pytest.raises(UnsupportedMethodError) as err:
-            sensing.require_method("Wavelet")
-        assert "Wavelet" in str(err.value)
+        for method in (*self.OTHER_METHODS, *self.OTHER_METHODS.values()):
+            with pytest.raises(UnsupportedMethodError) as err:
+                sensing.method_key(method)
+            message = str(err.value)
+            assert method in message
+            assert all(key in message for key in ("energy", "cyclo", "autocorr"))
 
     def test_unknown_method(self):
-        with pytest.raises(UnsupportedMethodError):
-            sensing.lookup_method("quantum")
+        for method in ("quantum", ""):
+            with pytest.raises(UnsupportedMethodError):
+                sensing.method_key(method)
 
     def test_implemented_lookup(self):
-        assert sensing.require_method("energy").key == "energy"
-        assert sensing.require_method("Autocorrelation").key == "autocorr"
+        expected = {"energy": "Energy Detection", "cyclo": "Cyclostationary Feature Detection",
+                    "autocorr": "Autocorrelation"}
+        assert sensing.METHODS == expected
+        for key, name in expected.items():
+            for spelling in (key, name, key.upper(), name.lower(), f"  {name.upper()} "):
+                assert sensing.method_key(spelling) == key

@@ -16,7 +16,9 @@ components carries, and a small ``evaluate`` grid writes a CSV.  The
 shipped ISM recording is identified once more with ``--config``
 ``{"guard_factor": 1024}``, a guard of at least ``fft_size`` that senses
 every component on the whole band, and its analysis files are digested
-again.  One line per written file: ``<case> <file> <sha256>``.
+again.  It is then identified against the shipped ISM plan with each
+candidate's ``preferred_method`` set by key or by the paper's name, and
+that report is digested.  One line per written file: ``<case> <file> <sha256>``.
 
 ``--one-core`` first pins this process to the first CPU of its affinity
 mask, so the package sees one core and runs no work on its thread pool;
@@ -67,6 +69,9 @@ INLINE_PLAN = {
     }],
 }
 WHOLE_BAND = {"guard_factor": 1024}
+# the shipped ISM plan's candidates, each with a method named as a plan may name it
+NAMED_METHODS = {"fh-burst-1msym": "Cyclostationary Feature Detection",
+                 "dsss-1p2288": "energy", "ofdm-narrow": "Autocorrelation"}
 EVALUATE = ["--seed", "5", "evaluate", "--snr-list=-4,10", "--occ-list", "0,0.6",
             "--trials", "8", "--resamples", "200"]
 
@@ -117,6 +122,12 @@ def main() -> None:
                     (work / "config.json").write_text(json.dumps(WHOLE_BAND))
                     analyse(Path(str(data / plan)), work, ("--config", str(work / "config.json")))
                     _digests(f"{case}+whole_band", work, FILES[3:])
+                    named = json.loads((data / plan).read_text())
+                    for cand in named["entries"][0]["candidates"]:
+                        cand["preferred_method"] = NAMED_METHODS[cand["label"]]
+                    (work / "named.json").write_text(json.dumps(named))
+                    analyse(work / "named.json", work)
+                    _digests(f"{case}+named_methods", work, ["report.json"])
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "scenario.json").write_text(json.dumps(INLINE_SCENARIO))

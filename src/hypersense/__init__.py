@@ -6,7 +6,6 @@ from .iqio import IqRecording, read_iq, write_iq
 from .noisefloor import (
     DetectedComponent,
     NoiseFloorEstimate,
-    NoiseFloorParams,
 )
 
 __all__ = [
@@ -15,6 +14,5 @@ __all__ = [
     "write_iq",
     "DetectedComponent",
     "NoiseFloorEstimate",
-    "NoiseFloorParams",
     "__version__",
 ]

@@ -28,6 +28,9 @@ VERDICT_DETECTED_UNIDENTIFIED = "detected_unidentified"
 VERDICT_LOW_CONFIDENCE = "low_confidence"
 
 BW_SLACK = 0.25  # fractional widening of the expected bandwidth range
+# the most carriers a candidate may predict: each adds a cyclic line that every
+# cyclic component's windows and matching walk (the shipped plans use 5)
+MAX_CARRIERS = 64
 
 
 @dataclass
@@ -63,6 +66,8 @@ class CandidateSignature:
                 f"{self.label}: needs max_carriers >= 1 and carrier_spacing_hz >= 0, "
                 f"got {self.max_carriers} and {self.carrier_spacing_hz}"
             )
+        if self.max_carriers > MAX_CARRIERS:
+            raise ParameterError(f"{self.label}: max_carriers must be <= {MAX_CARRIERS}, got {self.max_carriers}")
         cp = self.cp_feature
         if cp is not None and not (cp.useful_s > 0.0 and cp.cp_s >= 0.0 and cp.tolerance_s >= 0.0):
             raise ParameterError(

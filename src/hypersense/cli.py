@@ -27,7 +27,7 @@ from . import classify, evaluation, pipeline, sensing, wavegen
 from .dsp import power_envelope
 from .errors import IqFormatError, ParameterError, UnsupportedMethodError
 from .iqio import read_iq, write_iq
-from .noisefloor import NoiseFloorParams, detect
+from .noisefloor import detect
 from .schema import dump_json, load_json
 
 PLAN_ENV_VAR = "HS_PLAN_PATH"
@@ -172,13 +172,9 @@ def cmd_nfspem(args: argparse.Namespace) -> None:
     step = float(axis_vals[1] - axis_vals[0]) if len(axis_vals) > 1 else 1.0
     axis = (float(axis_vals[0]), step)
 
-    params = NoiseFloorParams(
-        k=args.k if args.k is not None else 1.0,
-        min_width_bins=args.min_width,
-        merge_gap_bins=args.merge_gap,
-    )
+    k = args.k if args.k is not None else 1.0
     try:
-        estimate, comps = detect(values, axis, params)
+        estimate, comps = detect(values, axis, k, args.min_width, args.merge_gap)
     except ValueError as e:  # every hypersense error is a ValueError
         raise ParameterError(f"{type(e).__name__}: {e}") from e
     out = {

@@ -107,10 +107,6 @@ class PowerSpectrum:
     def freqs_hz(self) -> np.ndarray:
         return self.freq_start_hz + self.freq_step_hz * np.arange(self.values_db.size)
 
-    @property
-    def axis(self) -> tuple[float, float]:
-        return (self.freq_start_hz, self.freq_step_hz)
-
 
 def _window(kind: str, n: int) -> np.ndarray:
     if kind == "hann":

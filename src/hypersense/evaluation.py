@@ -70,7 +70,7 @@ import numpy as np
 from . import dsp
 from .dsp import welch_psd
 from .errors import ParameterError
-from .noisefloor import NoiseFloorParams, detect
+from .noisefloor import detect
 from .wavegen import ChannelSpec, ScenarioSpec, compose_scenario
 
 TRIAL_K = 0.5
@@ -151,7 +151,7 @@ def run_trial(
     )
     rec, truth = compose_scenario(scenario, fft_size=fft_size)
     psd = welch_psd(rec, fft_size=fft_size, window="hann", overlap=0.5)
-    _, comps = detect(psd.values_db, psd.axis, NoiseFloorParams(k=TRIAL_K))
+    _, comps = detect(psd.values_db, (psd.freq_start_hz, psd.freq_step_hz), TRIAL_K)
     detected = np.zeros(fft_size, dtype=bool)
     for c in comps:
         detected[c.start_index : c.end_index + 1] = True

@@ -8,7 +8,12 @@ information-bearing.  A second stage extracts contiguous above-threshold
 runs as detected components with center/width/power estimates.
 
 The same detector serves wideband sensing (frequency axis), burst
-detection (time axis) and peak picking on cyclic-frequency profiles.
+detection (time axis) and peak picking on cyclic-frequency and lag
+profiles; each caller passes ``detect`` its axis's settings: the level
+height coefficient ``k``, the narrowest run kept, the widest gap merged and
+the samples trimmed from each end.  A ``k`` that would split the samples'
+range into more than ``MAX_LEVELS`` levels is rejected before any level is
+counted.
 """
 
 from __future__ import annotations
@@ -23,22 +28,9 @@ from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterErr
 # "boundary belongs to the lower level" rule stable under float noise.
 _BOUNDARY_SNAP = 1e-9
 
-
-@dataclass
-class NoiseFloorParams:
-    """Tuning knobs for the detector."""
-
-    k: float = 1.0
-    min_width_bins: int = 3
-    merge_gap_bins: int = 2
-
-    def validate(self) -> None:
-        if not 0.0 < self.k <= 1.0:
-            raise ParameterError(f"k must be in (0, 1], got {self.k}")
-        if self.min_width_bins < 1:
-            raise ParameterError("min_width_bins must be >= 1")
-        if self.merge_gap_bins < 0:
-            raise ParameterError("merge_gap_bins must be >= 0")
+# The most levels one histogram may hold (8 MiB of counts).  At k = 1 a set
+# of n samples needs at most ceil(sqrt(2 n)) levels; only a tiny k nears this.
+MAX_LEVELS = 1 << 20
 
 
 @dataclass
@@ -93,8 +85,9 @@ def segment_levels(samples: np.ndarray, k: float = 1.0) -> LevelHistogram:
 
     The level count is ceil(range / (k * sigma)) with sigma the population
     standard deviation, so the level height never exceeds k * sigma.  A
-    sample sitting exactly on a boundary belongs to the lower level; the
-    maximum sample belongs to the top level.
+    count above ``MAX_LEVELS`` raises ``ParameterError``.  A sample sitting
+    exactly on a boundary belongs to the lower level; the maximum sample
+    belongs to the top level.
     """
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1:
@@ -111,6 +104,11 @@ def segment_levels(samples: np.ndarray, k: float = 1.0) -> LevelHistogram:
     sigma = float(y.std())  # population (divide by N)
     if sigma == 0.0 or y_max - y_min <= 0.0:
         raise DegenerateSpectrumError("constant input: zero spread")
+    # multiplied, not divided: k * sigma may underflow to zero
+    if y_max - y_min > MAX_LEVELS * k * sigma:
+        raise ParameterError(
+            f"k {k!r} is too small: the samples' range needs more than {MAX_LEVELS} levels of k * sigma"
+        )
 
     level_count = max(2, int(np.ceil((y_max - y_min) / (k * sigma))))
     width = (y_max - y_min) / level_count
@@ -211,19 +209,25 @@ def extract_components(
 def detect(
     samples: np.ndarray,
     axis: tuple[float, float],
-    params: NoiseFloorParams | None = None,
+    k: float = 1.0,
+    min_width_bins: int = 3,
+    merge_gap_bins: int = 2,
     trim: int = 0,
 ) -> tuple[NoiseFloorEstimate, list[DetectedComponent]]:
     """Full pass: level histogram, change point, component extraction.
 
-    The histogram and change point leave out ``trim`` samples at each end
+    ``k`` scales the level height (``segment_levels``); ``min_width_bins``
+    and ``merge_gap_bins`` shape the runs (``extract_components``).  The
+    histogram and change point leave out ``trim`` samples at each end
     (unless fewer than two would remain); components come from all samples.
     """
-    params = params or NoiseFloorParams()
-    params.validate()
+    if not 0.0 < k <= 1.0:
+        raise ParameterError(f"k must be in (0, 1], got {k}")
+    if min_width_bins < 1:
+        raise ParameterError("min_width_bins must be >= 1")
+    if merge_gap_bins < 0:
+        raise ParameterError("merge_gap_bins must be >= 0")
     core = samples[trim:len(samples) - trim] if len(samples) - 2 * trim >= 2 else samples
-    estimate = cusum_change_point(segment_levels(core, params.k))
-    components = extract_components(
-        samples, axis, estimate.threshold_db, params.min_width_bins, params.merge_gap_bins
-    )
+    estimate = cusum_change_point(segment_levels(core, k))
+    components = extract_components(samples, axis, estimate.threshold_db, min_width_bins, merge_gap_bins)
     return estimate, components

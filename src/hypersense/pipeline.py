@@ -22,7 +22,7 @@ from . import classify, sensing
 from .dsp import WINDOWS, PowerSpectrum, channelize, decimation, map_on_cores, power_envelope, recording_spectrum, welch_psd
 from .errors import DegenerateSpectrumError, InsufficientDataError, ParameterError
 from .iqio import IqRecording
-from .noisefloor import DetectedComponent, NoiseFloorEstimate, NoiseFloorParams, detect
+from .noisefloor import DetectedComponent, NoiseFloorEstimate, detect
 from .schema import dump_json, from_json
 
 @dataclass
@@ -43,12 +43,6 @@ class PipelineConfig:
     tau_max: int = 256
     peak_k: float = 1.0
     energy_pfa: float = 0.05
-
-    def floor_params(self) -> NoiseFloorParams:
-        return NoiseFloorParams(self.floor_k, self.floor_min_width_bins, self.floor_merge_gap_bins)
-
-    def peak_params(self) -> NoiseFloorParams:
-        return NoiseFloorParams(self.peak_k, min_width_bins=1, merge_gap_bins=0)
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -127,15 +121,11 @@ def detect_bursts(
     that is reported as zero bursts with the ``continuous_signal`` flag
     rather than as an error.
     """
-    env_db, (t0, dt) = power_envelope(iq, config.envelope_smooth_len)
-    params = NoiseFloorParams(
-        k=config.floor_k,
-        min_width_bins=max(3, config.envelope_smooth_len // 2),
-        merge_gap_bins=config.envelope_smooth_len,
-    )
-    trim = iq.transient + config.envelope_smooth_len // 2
+    smooth = config.envelope_smooth_len
+    env_db, (t0, dt) = power_envelope(iq, smooth)
     try:
-        estimate, comps = detect(env_db, (t0, dt), params, trim)
+        estimate, comps = detect(env_db, (t0, dt), config.floor_k, min_width_bins=max(3, smooth // 2),
+                                 merge_gap_bins=smooth, trim=iq.transient + smooth // 2)
     except DegenerateSpectrumError:
         return [], ["continuous_signal"]
     flags = ["nfspem_tied"] if estimate.all_tied else []
@@ -213,7 +203,7 @@ def _cyclic_scan(
     alpha_min = min(alpha for _, alpha, _ in candidate.cyclic_lines())
     tau_hi = min(config.tau_max, math.ceil(2.0 * fs / alpha_min), n // 4)
     profile = sensing.scan_cyclic(channelized, grid, (0, tau_hi))
-    return sensing.cyclic_evidence(profile, config.peak_params(), windows)
+    return sensing.cyclic_evidence(profile, config.peak_k, windows)
 
 
 def _cp_autocorr(
@@ -236,7 +226,7 @@ def _cp_autocorr(
         lo = min(lo, max(1, int(expected_u / 2)))
         period = (candidate.cp_feature.useful_s + candidate.cp_feature.cp_s) * fs
         hi = min(max(hi, int(2.5 * period)), n // 4)
-    return sensing.cp_autocorr_detect(channelized, (lo, hi), config.peak_params())
+    return sensing.cp_autocorr_detect(channelized, (lo, hi), config.peak_k)
 
 
 def _process_component(
@@ -334,7 +324,8 @@ def run_identification(
         psd, spectrum = map_on_cores(lambda stage: stage(), [
             lambda: welch_psd(iq, config.fft_size, config.window, config.overlap), shared_spectrum])
         axis_abs = (iq.center_freq_hz + psd.freq_start_hz, psd.freq_step_hz)
-        estimate, components = detect(psd.values_db, axis_abs, config.floor_params())
+        estimate, components = detect(psd.values_db, axis_abs, config.floor_k,
+                                      config.floor_min_width_bins, config.floor_merge_gap_bins)
     except (InsufficientDataError, DegenerateSpectrumError) as exc:
         flag = "insufficient_data" if isinstance(exc, InsufficientDataError) else "degenerate_spectrum"
         return IdentificationReport(recording, config.to_dict(), None, [], [flag], psd)

@@ -30,11 +30,13 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .iqio import IqRecording
-from .noisefloor import DetectedComponent, NoiseFloorParams, detect
+from .noisefloor import DetectedComponent, detect
 
 # Margin in dB a peak must clear the estimated floor threshold by before it
-# counts as a detection on spiky axes (cyclic profiles, lag profiles).
+# counts as a detection on spiky axes (cyclic profiles, lag profiles).  On
+# those axes one bin is a run, and no gap between runs is merged.
 PEAK_MARGIN_DB = 6.0
+PEAK_MIN_WIDTH_BINS, PEAK_MERGE_GAP_BINS = 1, 0
 
 METHOD_ENERGY = "energy"
 METHOD_CYCLO = "cyclo"
@@ -177,16 +179,15 @@ def scan_cyclic(iq: IqRecording, alpha_grid: np.ndarray, tau_range: tuple[int, i
     )
 
 
-def cyclic_evidence(
-    profile: CyclicProfile, params: NoiseFloorParams, windows: list[tuple[float, float]]
-) -> Evidence:
+def cyclic_evidence(profile: CyclicProfile, k: float, windows: list[tuple[float, float]]) -> Evidence:
     """Peak extraction on a cyclic profile via the noise floor detector.
 
     Random-data modulation gives the profile a smooth continuum that slopes
     away from zero, so a single global floor over a wide grid is
     meaningless.  ``windows`` (cyclic-frequency intervals) run the floor
-    detector per interval, where the local floor is flat; peaks must clear
-    their local threshold by ``PEAK_MARGIN_DB``.  A constant window has no
+    detector, at level height coefficient ``k``, per interval, where the
+    local floor is flat; peaks must clear their local threshold by
+    ``PEAK_MARGIN_DB``.  A constant window has no
     level structure and is skipped.  ``statistic`` and ``threshold`` are
     the highest peak and the local threshold of the window whose peak
     clears its threshold by the most; with no usable window both are the
@@ -205,7 +206,8 @@ def cyclic_evidence(
             continue
         values = profile.magnitude_db[sel]
         try:
-            estimate, comps = detect(values, (float(grid[sel[0]]), step), params)
+            estimate, comps = detect(values, (float(grid[sel[0]]), step), k,
+                                     PEAK_MIN_WIDTH_BINS, PEAK_MERGE_GAP_BINS)
         except DegenerateSpectrumError:  # a constant window has no peaks
             continue
         if estimate.all_tied and "nfspem_tied" not in flags:
@@ -262,12 +264,11 @@ def _half_prominence_support(profile: np.ndarray) -> int:
     return min(best, profile.size)
 
 
-def cp_autocorr_detect(
-    iq: IqRecording, lag_range: tuple[int, int], params: NoiseFloorParams
-) -> Evidence:
+def cp_autocorr_detect(iq: IqRecording, lag_range: tuple[int, int], k: float) -> Evidence:
     """Detect repeated-tail structure from the sample autocorrelation.
 
-    A lag peak at u marks the repeat distance.  The product
+    A lag peak at u, found by the floor detector at level height
+    coefficient ``k``, marks the repeat distance.  The product
     z(t) = x(t) conj(x(t+u)) is coherent only while the repeated segment is
     active, so folding z over candidate periods in (u, 2u] and picking the
     most coherent fold recovers the full symbol period; the prefix length
@@ -283,7 +284,7 @@ def cp_autocorr_detect(
 
     r = sample_autocorrelation(x, hi)
     mag_db = db10(np.abs(r[lo:]) ** 2)
-    estimate, comps = detect(mag_db, (float(lo), 1.0), params)
+    estimate, comps = detect(mag_db, (float(lo), 1.0), k, PEAK_MIN_WIDTH_BINS, PEAK_MERGE_GAP_BINS)
     strong = [c for c in comps if c.peak_value_db - estimate.threshold_db >= PEAK_MARGIN_DB]
     flags = ["nfspem_tied"] if estimate.all_tied else []
     evidence = Evidence(

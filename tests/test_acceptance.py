@@ -235,7 +235,7 @@ def test_acceptance_6_cp_identification():
                               useful_length=64, cp_length=16)
         spec = wg.ScenarioSpec(fs, 80 * 1000 / fs, 0.0, [chan], seed=seed)
         rec, _ = wg.compose_scenario(spec)
-        ev = sensing.cp_autocorr_detect(rec, (1, 256), pipeline.PipelineConfig().peak_params())
+        ev = sensing.cp_autocorr_detect(rec, (1, 256), pipeline.PipelineConfig().peak_k)
         if (
             ev.detected
             and ev.extras.get("useful_length") == 64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypersense import classify, sensing
-from hypersense.errors import UnsupportedMethodError
+from hypersense.errors import ParameterError, UnsupportedMethodError
 from hypersense.noisefloor import DetectedComponent
 
 
@@ -182,8 +182,18 @@ class TestPlanLoading:
         assert c.cp_feature.useful_s == pytest.approx(3.2e-5)
         assert c.max_carriers == 3
 
+    @pytest.mark.parametrize("count", [2**62, classify.MAX_CARRIERS + 1], ids=["2**62", "cap+1"])
+    def test_max_carriers_over_cap_rejected(self, count):
+        candidate = {"label": "c1", "expected_bw_hz": [0.8e6, 1.2e6], "carrier_spacing_hz": 1.25e6}
+        plan = {"entries": [{"name": "E", "band_hz": [2.4e9, 2.4835e9], "candidates": [candidate]}]}
+        candidate["max_carriers"] = classify.MAX_CARRIERS
+        assert classify.plan_from_dict(plan).entries[0].candidates[0].max_carriers == classify.MAX_CARRIERS
+        candidate["max_carriers"] = count
+        message = f"^c1: max_carriers must be <= {classify.MAX_CARRIERS}, got {count}$"
+        with pytest.raises(ParameterError, match=message):
+            classify.plan_from_dict(plan)
+
     def test_bad_plan_rejected(self):
-        from hypersense.errors import ParameterError
         with pytest.raises(ParameterError):
             classify.plan_from_dict({"entries": [{"name": "E"}]})
         with pytest.raises(ParameterError):

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from hypersense import cli, pipeline, sensing
-from hypersense.classify import plan_from_dict
+from hypersense.classify import MAX_CARRIERS, plan_from_dict
 from hypersense.errors import IqFormatError, ParameterError, UnsupportedMethodError
 from hypersense.iqio import IqRecording, read_iq, write_iq
+from hypersense.noisefloor import MAX_LEVELS
 
 
 class RawJson(str):
@@ -31,6 +32,24 @@ def _package_env(**extra):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _cli_under_1gb(argv, one_cpu=False):
+    """Run ``hypersense argv`` in a child process limited to 1 GB of address space."""
+    limited = (
+        "import os, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
+        + "from hypersense import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    return subprocess.run([sys.executable, "-c", limited, *map(str, argv)],
+                          env=_package_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                          text=True, timeout=60)
+
+
+def _too_small_k(k):
+    return f"k {float(k)!r} is too small: the samples' range needs more than {MAX_LEVELS} levels"
 
 
 def scenario_dict(**over):
@@ -156,6 +175,15 @@ class TestSimulate:
 def recording_file(tmp_path, scenario_file):
     out = tmp_path / "rec.cf32"
     assert cli.main(["simulate", str(scenario_file), "-o", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def ism_recording(tmp_path):
+    """The shipped ISM scenario, simulated at its own seed."""
+    out = tmp_path / "ism.cf32"
+    data = resources.files("hypersense.data")
+    assert cli.main(["simulate", str(data / "ism_burst_scenario.json"), "-o", str(out)]) == 0
     return out
 
 
@@ -292,18 +320,8 @@ class TestIdentify:
         rec, cfg, out = tmp_path / "pcs.cf32", tmp_path / "cfg.json", tmp_path / "r.json"
         assert cli.main(["simulate", str(data / "pcs_multicarrier_scenario.json"), "-o", str(rec)]) == 0
         cfg.write_text(json.dumps({"cyclic_step_hz": 0.01}))
-        limited = (
-            "import os, resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from hypersense import cli\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", limited, "--config", str(cfg), "identify", str(rec),
-             "--plan", str(data / "pcs1900_plan.json"), "-o", str(out)],
-            env=_package_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
-        )
+        proc = _cli_under_1gb(["--config", cfg, "identify", rec, "--plan", data / "pcs1900_plan.json",
+                               "-o", out], one_cpu=True)
         assert proc.returncode == 0, proc.stderr
         assert [c["error"] for c in json.loads(out.read_text())["components"]] == [
             "ParameterError: cyclic_step_hz 0.01 Hz is below the cyclic scan's resolution "
@@ -318,21 +336,37 @@ class TestIdentify:
         rec, cfg, out = tmp_path / "pcs.cf32", tmp_path / "cfg.json", tmp_path / "r.json"
         assert cli.main(["simulate", str(data / "pcs_multicarrier_scenario.json"), "-o", str(rec)]) == 0
         cfg.write_text(json.dumps({"guard_factor": 1e-12}))
-        limited = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from hypersense import cli\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", limited, "--config", str(cfg), "identify", str(rec),
-             "--plan", str(data / "pcs1900_plan.json"), "-o", str(out)],
-            env=_package_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
-        )
+        proc = _cli_under_1gb(["--config", cfg, "identify", rec, "--plan", data / "pcs1900_plan.json",
+                               "-o", out])
         assert proc.returncode == 0, proc.stderr
         # the cyclic guard widens the one component back to a channel that identifies
         assert [(c["error"], c["label"]) for c in json.loads(out.read_text())["components"]] == [
             (None, "cdma2000-like")]
+
+    @pytest.mark.parametrize("k", ["1e-300", "1e-9"])
+    def test_tiny_k_exit2(self, tmp_path, ism_recording, k):
+        # At k 1e-300 the level count would overflow a C long, and at 1e-9
+        # the spectrum would need 22.5 GiB of level counts; over MAX_LEVELS,
+        # the floor detector rejects both before it counts a level.
+        out = tmp_path / "r.json"
+        plan = resources.files("hypersense.data") / "ism24_plan.json"
+        proc = _cli_under_1gb(["--k", k, "identify", ism_recording, "--plan", plan, "-o", out])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {_too_small_k(k)}") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_tiny_peak_k_is_a_component_error(self, tmp_path, ism_recording):
+        # the FSK, DSSS and OFDM components run the cyclic scan or the lag
+        # profile, whose peaks are found at peak_k; the other two run energy
+        # detection alone
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"peak_k": 1e-300}))
+        plan = resources.files("hypersense.data") / "ism24_plan.json"
+        proc = _cli_under_1gb(["--config", cfg, "identify", ism_recording, "--plan", plan, "-o", out])
+        assert proc.returncode == 0, proc.stderr
+        errors = [c["error"] for c in json.loads(out.read_text())["components"]]
+        assert [e is not None for e in errors] == [True, False, False, True, True]
+        assert all(e.startswith(f"ParameterError: {_too_small_k(1e-300)}") for e in errors if e)
 
     @pytest.mark.parametrize("plan", [[1], {"entries": [{
         "name": "ISM", "band_hz": [2.4e9, 2.5e9],
@@ -368,13 +402,16 @@ class TestIdentify:
         ({"cyclic_features_hz": [{"freq_hz": 1e6, "tolerance_hz": -1.0}]}, "w: "),
         ({"expected_bw_hz": [0.0, 0.6e6]}, "w: expected_bw_hz"),
         ({"max_carriers": 0}, "w: needs max_carriers >= 1"),
+        ({"max_carriers": 2**62}, f"w: max_carriers must be <= {MAX_CARRIERS}, got {2**62}"),
+        ({"max_carriers": MAX_CARRIERS + 1, "carrier_spacing_hz": 1.25e6},
+         f"w: max_carriers must be <= {MAX_CARRIERS}, got {MAX_CARRIERS + 1}"),
         ({"carrier_spacing_hz": -1.25e6}, "w: needs max_carriers >= 1 and carrier_spacing_hz >= 0"),
         ({"cp_feature": {"useful_s": 0.0, "cp_s": 8e-6, "tolerance_s": 2e-6}}, "w: cp_feature"),
         ({"cp_feature": {"useful_s": 3.2e-5, "cp_s": -1e-6, "tolerance_s": 2e-6}}, "w: cp_feature"),
         ({"cp_feature": {"useful_s": 3.2e-5, "cp_s": 8e-6, "tolerance_s": -1e-6}}, "w: cp_feature"),
     ], ids=["method_int", "cyclic_freq_0", "cyclic_freq_negative", "cyclic_tol_negative",
-            "bandwidth_min_0", "max_carriers_0", "carrier_spacing_negative", "cp_useful_0",
-            "cp_negative", "cp_tol_negative"])
+            "bandwidth_min_0", "max_carriers_0", "max_carriers_2**62", "max_carriers_over_cap",
+            "carrier_spacing_negative", "cp_useful_0", "cp_negative", "cp_tol_negative"])
     def test_bad_plan_value_exit2(self, tmp_path, recording_file, capsys, candidate, message):
         plan = {"name": "bad", "entries": [{
             "name": "ISM", "band_hz": [2.4e9, 2.4835e9],
@@ -657,6 +694,19 @@ class TestNfspem:
         comp, = out["components"]
         assert (comp["start_index"], comp["end_index"]) == (3, 4)
         assert comp["center"] == pytest.approx(6.5e11)
+
+    @pytest.mark.parametrize("text, k", [
+        ("\n".join(f"{float(v)!r}" for v in np.random.default_rng(2).normal(size=200)), "1e-300"),
+        ("0\n1e-150\n0\n", "1e-200"),
+    ], ids=["normal_k_1e-300", "k_sigma_underflows"])
+    def test_tiny_k_exit2_writes_nothing(self, tmp_path, capsys, text, k):
+        # the level count would overflow; with k 1e-200, k * sigma underflows to 0
+        path, out = tmp_path / "vals.csv", tmp_path / "floor.json"
+        path.write_text(text)
+        assert cli.main(["--k", k, "nfspem", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParameterError: {_too_small_k(k)}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_k_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -53,6 +53,8 @@ csv_text = st.lists(  # mostly numbers, one or two columns, sometimes junk
     | st.lists(csv_cells, min_size=1, max_size=3),
     max_size=300,
 ).map(lambda rows: "\n".join(",".join(row) for row in rows))
+# a clean column of values, which the parser hands to the floor detector
+value_column = st.lists(st.floats(-1e3, 1e3).map(repr), min_size=2, max_size=300).map("\n".join)
 
 
 def _run(argv, out):
@@ -94,16 +96,23 @@ PSK_PLAN = {"name": "fuzz", "entries": [{"name": "ISM", "band_hz": [2.4e9, 2.5e9
     {"label": "psk", "expected_bw_hz": [1e5, 5e5],
      "cyclic_features_hz": [{"freq_hz": 1.25e5, "tolerance_hz": 1e3}]}]}]}
 
+# a level height coefficient, log-uniform over [1e-300, 1]
+tiny_to_one = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+
 pipeline_configs = st.fixed_dictionaries({
     "fft_size": st.integers(3, 12).map(lambda e: 2**e),
     "floor_min_width_bins": st.integers(1, 16) | st.integers(1, 2**53),
     "guard_factor": st.floats(-12.0, 1.0).map(lambda e: 10.0**e),
     "cyclic_step_hz": st.floats(1e3, 5e4) | st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
     "tau_max": st.integers(0, 512) | st.integers(0, 2**64),
+    "floor_k": tiny_to_one,
+    "peak_k": tiny_to_one,
 })
 
 
-@hypothesis.settings(max_examples=20, deadline=None, database=None)
+# most drawn k are too small for the floor detector and exit 2 at once, so
+# more examples keep about as many configs running the whole pipeline
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
 @hypothesis.given(config=pipeline_configs, shape=st.sampled_from(["psk", "noise", "tone"]))
 def test_identify_any_pipeline_config(config, shape):
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,12 +161,12 @@ def test_simulate_any_scenario(scenario):
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None)
-@hypothesis.given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode)
-                  | csv_text.map(str.encode))
-def test_nfspem_any_csv(content):
+@hypothesis.given(content=st.binary(max_size=64) | st.text(max_size=64).map(str.encode)
+                  | csv_text.map(str.encode) | value_column.map(str.encode), k=tiny_to_one)
+def test_nfspem_any_csv(content, k):
     with tempfile.TemporaryDirectory() as tmp:
         values, out = Path(tmp) / "values.csv", Path(tmp) / "floor.json"
         values.write_bytes(content)
-        _run(["nfspem", str(values), "-o", str(out)], out)
+        _run(["--k", repr(k), "nfspem", str(values), "-o", str(out)], out)
         if out.exists():
             _strict(out)

@@ -39,6 +39,17 @@ class TestSegmentLevels:
             with pytest.raises(ParameterError):
                 nf.segment_levels(y, k=k)
 
+    def test_level_count_capped(self):
+        # [0, 1]: sigma 0.5, so k = 2 / MAX_LEVELS needs exactly MAX_LEVELS levels
+        y = np.array([0.0, 1.0])
+        assert nf.segment_levels(y, k=2.0 / nf.MAX_LEVELS).level_count == nf.MAX_LEVELS
+        for k in (1.9 / nf.MAX_LEVELS, 1e-300):
+            with pytest.raises(ParameterError, match="too small"):
+                nf.segment_levels(y, k=k)
+        # k * sigma underflows to zero
+        with pytest.raises(ParameterError, match="too small"):
+            nf.segment_levels(np.array([0.0, 1e-150, 0.0]), k=1e-200)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ParameterError):
             nf.segment_levels(np.array([0.0, np.inf, 1.0]))
@@ -181,7 +192,7 @@ class TestExtractComponents:
         rng = np.random.default_rng(5)
         for _ in range(50):
             y = rng.normal(size=512)
-            est, comps = nf.detect(y, (0.0, 1.0), nf.NoiseFloorParams(min_width_bins=1))
+            est, comps = nf.detect(y, (0.0, 1.0), min_width_bins=1)
             for a, b in zip(comps, comps[1:]):
                 assert a.end_index < b.start_index
 
@@ -207,7 +218,7 @@ class TestDetect:
         centers = [100, 280, 470, 660, 850]
         for c in centers:
             y[c - 20 : c + 21] += 15.0
-        est, comps = nf.detect(y, (0.0, 1.0), nf.NoiseFloorParams())
+        est, comps = nf.detect(y, (0.0, 1.0))
         assert len(comps) == 5
         for comp, c in zip(comps, centers):
             assert abs(comp.center - c) <= 2.0
@@ -235,6 +246,6 @@ class TestDetect:
 
     def test_trim_too_long_uses_every_sample(self):
         y = np.array([0.0, 0.0, 0.0, 10.0])
-        est, comps = nf.detect(y, (0.0, 1.0), nf.NoiseFloorParams(min_width_bins=1), trim=2)
+        est, comps = nf.detect(y, (0.0, 1.0), min_width_bins=1, trim=2)
         assert est.threshold_db == nf.detect(y, (0.0, 1.0))[0].threshold_db
         assert [(c.start_index, c.end_index) for c in comps] == [(3, 3)]

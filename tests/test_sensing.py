@@ -21,8 +21,8 @@ from hypersense.iqio import IqRecording
 from hypersense.noisefloor import detect
 
 
-# the peak-floor policy the pipeline hands every spiky-axis method
-PEAK = pipeline.PipelineConfig().peak_params()
+# the level height coefficient the pipeline hands every spiky-axis method
+PEAK_K = pipeline.PipelineConfig().peak_k
 
 
 def rec(x, fs=1e6, fc=0.0):
@@ -276,7 +276,7 @@ class TestCyclicEvidence:
         values = np.concatenate([np.zeros(20), rng.normal(0.0, 0.5, 40)])
         values[45] = 20.0
         profile = self._profile(values)
-        ev = sensing.cyclic_evidence(profile, PEAK, [(0.0, 19e3), (20e3, 59e3)])
+        ev = sensing.cyclic_evidence(profile, PEAK_K, [(0.0, 19e3), (20e3, 59e3)])
         assert ev.detected
         assert [(pk.start_index, pk.peak_position) for pk in ev.peaks] == [(45, 45e3)]
         assert ev.extras["profile"] is profile
@@ -287,10 +287,11 @@ class TestCyclicEvidence:
         values[10] = 10.0
         values[45] = 20.0
         windows = [(0.0, 19e3), (20e3, 59e3)]
-        ev = sensing.cyclic_evidence(self._profile(values), PEAK, windows)
+        ev = sensing.cyclic_evidence(self._profile(values), PEAK_K, windows)
         margins = []
         for lo, hi in ((0, 20), (20, 60)):
-            estimate, comps = detect(values[lo:hi], (lo * 1e3, 1e3), PEAK)
+            estimate, comps = detect(values[lo:hi], (lo * 1e3, 1e3), PEAK_K,
+                                     sensing.PEAK_MIN_WIDTH_BINS, sensing.PEAK_MERGE_GAP_BINS)
             margins.append(max(c.peak_value_db for c in comps) - estimate.threshold_db)
         assert margins[1] > margins[0] > 0.0
         assert ev.statistic == 20.0
@@ -300,7 +301,7 @@ class TestCyclicEvidence:
         values = np.random.default_rng(5).normal(0.0, 0.5, 40)
         values[10] = np.nan
         with pytest.raises(ParameterError):
-            sensing.cyclic_evidence(self._profile(values), PEAK, [(0.0, 39e3)])
+            sensing.cyclic_evidence(self._profile(values), PEAK_K, [(0.0, 39e3)])
 
 
 class TestCpAutocorrDetect:
@@ -314,7 +315,7 @@ class TestCpAutocorrDetect:
 
     def test_clean_exact(self):
         recording = self._ofdm_rec(seed=1, snr_db=30.0)
-        ev = sensing.cp_autocorr_detect(recording, (1, 256), PEAK)
+        ev = sensing.cp_autocorr_detect(recording, (1, 256), PEAK_K)
         assert ev.detected
         assert ev.extras["useful_length"] == 64
         assert ev.extras["cp_length"] == 16
@@ -323,7 +324,7 @@ class TestCpAutocorrDetect:
     def test_snr0_mostly_exact(self):
         hits = 0
         for seed in range(20):
-            ev = sensing.cp_autocorr_detect(self._ofdm_rec(seed=100 + seed), (1, 256), PEAK)
+            ev = sensing.cp_autocorr_detect(self._ofdm_rec(seed=100 + seed), (1, 256), PEAK_K)
             if ev.detected and (ev.extras.get("useful_length"), ev.extras.get("cp_length")) == (64, 16):
                 hits += 1
         assert hits >= 18
@@ -331,15 +332,15 @@ class TestCpAutocorrDetect:
     def test_white_noise_no_detection(self):
         rng = np.random.default_rng(55)
         for _ in range(5):
-            ev = sensing.cp_autocorr_detect(rec(awgn(80000, rng)), (1, 256), PEAK)
+            ev = sensing.cp_autocorr_detect(rec(awgn(80000, rng)), (1, 256), PEAK_K)
             assert not ev.detected
 
     def test_bad_lag_range(self):
         x = rec(awgn(1000, np.random.default_rng(0)))
         with pytest.raises(ParameterError):
-            sensing.cp_autocorr_detect(x, (0, 50), PEAK)
+            sensing.cp_autocorr_detect(x, (0, 50), PEAK_K)
         with pytest.raises(ParameterError):
-            sensing.cp_autocorr_detect(x, (10, 5), PEAK)
+            sensing.cp_autocorr_detect(x, (10, 5), PEAK_K)
 
 
 class TestRegistry:

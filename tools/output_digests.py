@@ -18,7 +18,11 @@ shipped ISM recording is identified once more with ``--config``
 every component on the whole band, and its analysis files are digested
 again.  It is then identified against the shipped ISM plan with each
 candidate's ``preferred_method`` set by key or by the paper's name, and
-that report is digested.  One line per written file: ``<case> <file> <sha256>``.
+that report is digested.  Each shipped scenario's own recording is also
+identified with ``--config`` set to ``DETECTOR``, detector settings off their
+defaults with ``floor_k`` and ``peak_k`` apart, and ``nfspem`` runs on its
+spectrum with its own non-default flags, so a swap of two settings shows.
+One line per written file: ``<case> <file> <sha256>``.
 
 ``--one-core`` first pins this process to the first CPU of its affinity
 mask, so the package sees one core and runs no work on its thread pool;
@@ -72,6 +76,10 @@ WHOLE_BAND = {"guard_factor": 1024}
 # the shipped ISM plan's candidates, each with a method named as a plan may name it
 NAMED_METHODS = {"fh-burst-1msym": "Cyclostationary Feature Detection",
                  "dsss-1p2288": "energy", "ofdm-narrow": "Autocorrelation"}
+# the detector's settings on every axis, each off its default and apart
+DETECTOR = {"floor_k": 0.8, "peak_k": 0.6, "floor_min_width_bins": 2,
+            "floor_merge_gap_bins": 3, "envelope_smooth_len": 96}
+NFSPEM_DETECTOR = ("--k", "0.5", "nfspem", "--min-width", "1", "--merge-gap", "0")
 EVALUATE = ["--seed", "5", "evaluate", "--snr-list=-4,10", "--occ-list", "0,0.6",
             "--trials", "8", "--resamples", "200"]
 
@@ -95,13 +103,14 @@ def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
     analyse(plan, work)
 
 
-def analyse(plan: Path, work: Path, config_args: tuple[str, ...] = ()) -> None:
+def analyse(plan: Path, work: Path, config_args: tuple[str, ...] = (),
+            nfspem_args: tuple[str, ...] = ("nfspem",)) -> None:
     """Identify ``work/rec.cf32`` with every emit file, then run ``nfspem`` on its spectrum."""
     _main([*config_args, "identify", str(work / "rec.cf32"), "--plan", str(plan),
            "-o", str(work / "report.json"), "--emit-psd", str(work / "psd.csv"),
            "--emit-cyclic", str(work / "cyclic.csv"),
            "--emit-envelope", str(work / "envelope.csv")])
-    _main(["nfspem", str(work / "psd.csv"), "-o", str(work / "nfspem.json")])
+    _main([*nfspem_args, str(work / "psd.csv"), "-o", str(work / "nfspem.json")])
 
 
 def main() -> None:
@@ -128,6 +137,11 @@ def main() -> None:
                     (work / "named.json").write_text(json.dumps(named))
                     analyse(work / "named.json", work)
                     _digests(f"{case}+named_methods", work, ["report.json"])
+                if seed is None:
+                    (work / "detector.json").write_text(json.dumps(DETECTOR))
+                    analyse(Path(str(data / plan)), work, ("--config", str(work / "detector.json")),
+                            NFSPEM_DETECTOR)
+                    _digests(f"{case}+detector", work, FILES[3:])
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "scenario.json").write_text(json.dumps(INLINE_SCENARIO))

@@ -3,7 +3,12 @@
 Commands: ``simulate`` (render a scenario config to an IQ file plus
 ground truth), ``identify`` (run the identification pipeline over a
 recording), ``evaluate`` (Monte-Carlo confidence grid), ``nfspem`` (run
-the noise-floor detector alone over a CSV of values).
+the noise-floor detector alone over a CSV of values).  Each option sits on
+the command that reads it, and a command given another command's option
+exits 2.  The one global option, ``--seed`` (before the command), is read
+by ``simulate`` and ``evaluate`` and ignored by the other two;
+``identify`` takes its pipeline settings (``fft_size``, ``floor_k``, ...)
+from ``--config`` alone.
 
 Exit codes are decided in ``main`` from the error class alone: 0 success;
 2 ``ParameterError``, ``OSError`` or ``MemoryError`` (unusable config,
@@ -30,8 +35,6 @@ from .iqio import read_iq, write_iq
 from .noisefloor import detect
 from .schema import dump_json, load_json
 
-PLAN_ENV_VAR = "HS_PLAN_PATH"
-
 # the largest |value| (dB) and |axis| in an nfspem CSV: the centroid's
 # weights 10 ** (value / 10) and axis positions then stay finite
 NFSPEM_MAX_DB, NFSPEM_MAX_AXIS = 1000.0, 1e12
@@ -40,15 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IQ_FORMAT = 3
 EXIT_UNSUPPORTED_METHOD = 4
-
-
-def _default_plan_path() -> Path:
-    import os
-
-    env = os.environ.get(PLAN_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path(str(resources.files("hypersense.data") / "ism24_plan.json"))
 
 
 def _fail(code: int, message: str) -> int:
@@ -68,8 +62,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     spec = wavegen.load_scenario(args.scenario)
     if args.seed is not None:
         spec.seed = args.seed
-    fft_size = 1024 if args.fft_size is None else args.fft_size
-    rec, truth = wavegen.compose_scenario(spec, fft_size=fft_size)
+    rec, truth = wavegen.compose_scenario(spec, fft_size=args.fft_size)
     truth_text = dump_json(wavegen.truth_to_dict(truth))
     out = Path(args.out)
     write_iq(rec, out)
@@ -78,18 +71,11 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     print(f"wrote {out} ({len(rec.samples)} samples), sidecar and {truth_path.name}")
 
 
-def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    data = load_json(args.config, "pipeline config") if args.config else {}
-    if isinstance(data, dict):
-        overrides = {"fft_size": args.fft_size, "floor_k": args.k}
-        data.update((key, value) for key, value in overrides.items() if value is not None)
-    return pipeline.PipelineConfig.from_dict(data)
-
-
 def cmd_identify(args: argparse.Namespace) -> None:
     rec = read_iq(args.iq_path)
-    plan = classify.load_plan(args.plan or _default_plan_path())
-    cfg = _pipeline_config(args)
+    plan = classify.load_plan(args.plan)
+    cfg = pipeline.PipelineConfig.from_dict(
+        load_json(args.config, "pipeline config") if args.config else {})
 
     report = pipeline.run_identification(rec, cfg, plan)
     text = pipeline.serialize_report(report)
@@ -146,7 +132,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         trials=args.trials,
         resamples=args.resamples,
         seed=args.seed if args.seed is not None else 0,
-        fft_size=1024 if args.fft_size is None else args.fft_size,
+        fft_size=args.fft_size,
     )
     evaluation.write_grid_csv(cells, args.out)
     print(f"wrote {args.out} ({len(cells)} cells)")
@@ -170,11 +156,12 @@ def cmd_nfspem(args: argparse.Namespace) -> None:
         raise ParameterError(f"{path}: values must be within +-{NFSPEM_MAX_DB:g} dB "
                              f"and axis values within +-{NFSPEM_MAX_AXIS:g}")
     step = float(axis_vals[1] - axis_vals[0]) if len(axis_vals) > 1 else 1.0
+    if step == 0 or not np.allclose(np.diff(axis_vals), step, rtol=1e-6, atol=0):
+        raise ParameterError(f"{path}: the axis must step by one constant, non-zero amount")
     axis = (float(axis_vals[0]), step)
 
-    k = args.k if args.k is not None else 1.0
     try:
-        estimate, comps = detect(values, axis, k, args.min_width, args.merge_gap)
+        estimate, comps = detect(values, axis, args.k, args.min_width, args.merge_gap)
     except ValueError as e:  # every hypersense error is a ValueError
         raise ParameterError(f"{type(e).__name__}: {e}") from e
     out = {
@@ -205,20 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypersense",
         description="Wideband spectrum sensing and signal identification toolkit",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override scenario/eval seed")
-    parser.add_argument("--fft-size", type=int, default=None, help="override FFT size")
-    parser.add_argument("--k", type=float, default=None, help="level-height coefficient in (0, 1]")
-    parser.add_argument("--config", default=None, help="pipeline config JSON path")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the scenario seed (simulate) or the trial seed (evaluate)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="render a scenario config to an IQ recording")
     p.add_argument("scenario", help="scenario config JSON")
     p.add_argument("-o", "--out", required=True, help="output IQ data path")
+    p.add_argument("--fft-size", type=int, default=1024, help="FFT size of the truth's occupancy mask")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("identify", help="run identification over a recording")
     p.add_argument("iq_path", help="IQ data file (cf32le with JSON sidecar)")
-    p.add_argument("--plan", default=None, help=f"channel plan (default ${PLAN_ENV_VAR} or shipped plan)")
+    p.add_argument("--plan", default=str(resources.files("hypersense.data") / "ism24_plan.json"),
+                   help="channel plan JSON (default: the shipped ISM plan)")
+    p.add_argument("--config", default=None, help="pipeline config JSON (default: every default)")
     p.add_argument("-o", "--out", default=None, help="report path (default <iq>.report.json)")
     p.add_argument("--emit-psd", default=None, metavar="CSV", help="write spectrum plot data")
     p.add_argument("--emit-cyclic", default=None, metavar="CSV",
@@ -231,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--occ-list", required=True, help="comma-separated occupancy fractions")
     p.add_argument("--trials", type=int, default=300)
     p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--fft-size", type=int, default=1024, help="FFT size of each trial")
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_evaluate)
 
@@ -239,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"|value| <= {NFSPEM_MAX_DB:g} dB, |axis| <= {NFSPEM_MAX_AXIS:g}")
     p.add_argument("--min-width", type=int, default=3)
     p.add_argument("--merge-gap", type=int, default=2)
+    p.add_argument("--k", type=float, default=1.0, help="level-height coefficient in (0, 1]")
     p.add_argument("-o", "--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_nfspem)
     return parser

@@ -100,4 +100,9 @@ def _build(tp, value, path: str, ignore_unknown: bool):
         expect(finite, what)
         return tp(value)
     expect(isinstance(value, tp), {str: "a string", bool: "a bool", dict: "an object"}[tp])
+    if tp is dict:  # contents undeclared, yet held to the finite-number rule
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise fail(f"must hold only finite numbers, got {value!r}") from None
     return value

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypersense import cli, pipeline, sensing
+from hypersense import classify, cli, pipeline, sensing
 from hypersense.classify import MAX_CARRIERS, plan_from_dict
 from hypersense.errors import IqFormatError, ParameterError, UnsupportedMethodError
 from hypersense.iqio import IqRecording, read_iq, write_iq
@@ -320,7 +320,7 @@ class TestIdentify:
         rec, cfg, out = tmp_path / "pcs.cf32", tmp_path / "cfg.json", tmp_path / "r.json"
         assert cli.main(["simulate", str(data / "pcs_multicarrier_scenario.json"), "-o", str(rec)]) == 0
         cfg.write_text(json.dumps({"cyclic_step_hz": 0.01}))
-        proc = _cli_under_1gb(["--config", cfg, "identify", rec, "--plan", data / "pcs1900_plan.json",
+        proc = _cli_under_1gb(["identify", rec, "--config", cfg, "--plan", data / "pcs1900_plan.json",
                                "-o", out], one_cpu=True)
         assert proc.returncode == 0, proc.stderr
         assert [c["error"] for c in json.loads(out.read_text())["components"]] == [
@@ -336,7 +336,7 @@ class TestIdentify:
         rec, cfg, out = tmp_path / "pcs.cf32", tmp_path / "cfg.json", tmp_path / "r.json"
         assert cli.main(["simulate", str(data / "pcs_multicarrier_scenario.json"), "-o", str(rec)]) == 0
         cfg.write_text(json.dumps({"guard_factor": 1e-12}))
-        proc = _cli_under_1gb(["--config", cfg, "identify", rec, "--plan", data / "pcs1900_plan.json",
+        proc = _cli_under_1gb(["identify", rec, "--config", cfg, "--plan", data / "pcs1900_plan.json",
                                "-o", out])
         assert proc.returncode == 0, proc.stderr
         # the cyclic guard widens the one component back to a channel that identifies
@@ -348,9 +348,10 @@ class TestIdentify:
         # At k 1e-300 the level count would overflow a C long, and at 1e-9
         # the spectrum would need 22.5 GiB of level counts; over MAX_LEVELS,
         # the floor detector rejects both before it counts a level.
-        out = tmp_path / "r.json"
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"floor_k": float(k)}))
         plan = resources.files("hypersense.data") / "ism24_plan.json"
-        proc = _cli_under_1gb(["--k", k, "identify", ism_recording, "--plan", plan, "-o", out])
+        proc = _cli_under_1gb(["identify", ism_recording, "--config", cfg, "--plan", plan, "-o", out])
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {_too_small_k(k)}") and proc.stderr.count("\n") == 1
         assert not out.exists()
@@ -362,7 +363,7 @@ class TestIdentify:
         cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
         cfg.write_text(json.dumps({"peak_k": 1e-300}))
         plan = resources.files("hypersense.data") / "ism24_plan.json"
-        proc = _cli_under_1gb(["--config", cfg, "identify", ism_recording, "--plan", plan, "-o", out])
+        proc = _cli_under_1gb(["identify", ism_recording, "--config", cfg, "--plan", plan, "-o", out])
         assert proc.returncode == 0, proc.stderr
         errors = [c["error"] for c in json.loads(out.read_text())["components"]]
         assert [e is not None for e in errors] == [True, False, False, True, True]
@@ -423,13 +424,6 @@ class TestIdentify:
                          "-o", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {message}")
-
-    def test_plan_env_var_default(self, tmp_path, recording_file, plan_file, monkeypatch):
-        monkeypatch.setenv(cli.PLAN_ENV_VAR, str(plan_file))
-        out = tmp_path / "r.json"
-        assert cli.main(["identify", str(recording_file), "-o", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["components"]
 
     def test_missing_iq_exit2(self, tmp_path, plan_file):
         assert cli.main(["identify", str(tmp_path / "none.cf32"), "--plan", str(plan_file)]) == 2
@@ -526,27 +520,26 @@ class TestIqFormat:
 
 
 class TestBadConfig:
-    @pytest.mark.parametrize("flags, config", [
-        (["--fft-size", "1000"], None),
-        (["--fft-size", "0"], None),
-        (["--k", "2"], None),
-        ([], {"overlap": 1.5}),
-        ([], {"tau_max": "256"}),
-        ([], {"cyclic_step_hz": 0}),
-        ([], {"fft_size": "1024"}),
-        ([], {"parallel": False}),
-        ([], {"channelize_enabled": False}),
+    @pytest.mark.parametrize("config", [
+        {"fft_size": 1000},
+        {"fft_size": 0},
+        {"floor_k": 2},
+        {"overlap": 1.5},
+        {"tau_max": "256"},
+        {"cyclic_step_hz": 0},
+        {"fft_size": "1024"},
+        {"parallel": False},
+        {"channelize_enabled": False},
+        [1],
     ], ids=["fft_size_1000", "fft_size_0", "k_2", "overlap_1.5", "tau_max_str", "cyclic_step_0",
-            "fft_size_str", "removed_field", "channelize_enabled"])
-    def test_exit2_and_no_report(self, tmp_path, recording_file, plan_file, flags, config):
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
-            flags = flags + ["--config", str(path)]
-        out = tmp_path / "r.json"
-        code = cli.main([*flags, "identify", str(recording_file), "--plan", str(plan_file),
-                         "-o", str(out)])
+            "fft_size_str", "removed_field", "channelize_enabled", "not_an_object"])
+    def test_exit2_and_no_report(self, tmp_path, recording_file, plan_file, capsys, config):
+        path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["identify", str(recording_file), "--config", str(path),
+                         "--plan", str(plan_file), "-o", str(out)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")  # the config's error, not a usage error
         assert not out.exists()
 
 
@@ -575,18 +568,20 @@ class TestExitCodes:
         [*SIMULATE, "-o", "{tmp}/missing/x"],
         ["identify", "{rec}", "--plan", "{plan}", "-o", "{tmp}/missing/x"],
         [*EVALUATE, "-o", "{tmp}/missing/x"],
-        ["--fft-size=0", *SIMULATE, "-o", "{tmp}/x"],
-        ["--fft-size=-8", *SIMULATE, "-o", "{tmp}/x"],
-        ["--fft-size=0", *EVALUATE, "-o", "{tmp}/x"],
-        ["--fft-size=-8", *EVALUATE, "-o", "{tmp}/x"],
+        [*SIMULATE, "--fft-size=0", "-o", "{tmp}/x"],
+        [*SIMULATE, "--fft-size=-8", "-o", "{tmp}/x"],
+        [*EVALUATE, "--fft-size=0", "-o", "{tmp}/x"],
+        [*EVALUATE, "--fft-size=-8", "-o", "{tmp}/x"],
         ["--seed=-1", *EVALUATE, "-o", "{tmp}/x"],
     ], ids=["simulate_missing_dir", "identify_missing_dir", "evaluate_missing_dir",
             "simulate_fft_0", "simulate_fft_-8", "evaluate_fft_0", "evaluate_fft_-8",
             "evaluate_seed_-1"])
-    def test_exit2_writes_nothing(self, tmp_path, scenario_file, recording_file, plan_file, argv):
+    def test_exit2_writes_nothing(self, tmp_path, capsys, scenario_file, recording_file, plan_file,
+                                  argv):
         before = sorted(tmp_path.rglob("*"))
         paths = {"tmp": tmp_path, "scn": scenario_file, "rec": recording_file, "plan": plan_file}
         assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")  # not a usage error
         assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -684,6 +679,20 @@ class TestNfspem:
         assert len(err) == 1 and err[0].startswith("error: ") and "within" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "0,0\n1,0.1\n100,20\n101,21\n102,20.5\n103,0.2\n104,0.1\n105,0\n",
+        "5,0\n5,0.1\n5,20\n5,21\n5,0.2\n5,0.1\n",
+    ], ids=["uneven", "zero_step"])
+    def test_axis_without_one_step_exit2_writes_nothing(self, tmp_path, capsys, text):
+        # the axis is read as a start and one step: read from its first two
+        # rows, the uneven axis would place the run at 100-102 near 3
+        path, out = tmp_path / "vals.csv", tmp_path / "floor.json"
+        path.write_text(text)
+        assert cli.main(["nfspem", str(path), "--min-width", "1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: the axis must step by one constant, non-zero amount\n")
+        assert not out.exists()
+
     def test_values_at_the_bound_accepted(self, tmp_path, capsys):
         # values at +-1000 dB on an axis that starts at 1e12
         values = [-1000.0, -999.0, -998.0, 1000.0, 1000.0, -1000.0, -999.5, -998.5]
@@ -703,7 +712,7 @@ class TestNfspem:
         # the level count would overflow; with k 1e-200, k * sigma underflows to 0
         path, out = tmp_path / "vals.csv", tmp_path / "floor.json"
         path.write_text(text)
-        assert cli.main(["--k", k, "nfspem", str(path), "-o", str(out)]) == 2
+        assert cli.main(["nfspem", str(path), "--k", k, "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ParameterError: {_too_small_k(k)}") and err.count("\n") == 1
         assert not out.exists()
@@ -712,7 +721,7 @@ class TestNfspem:
         rng = np.random.default_rng(2)
         path = tmp_path / "v.csv"
         path.write_text("\n".join(f"{float(v)!r}" for v in rng.normal(size=200)))
-        assert cli.main(["--k", "0.5", "nfspem", str(path)]) == 0
+        assert cli.main(["nfspem", str(path), "--k", "0.5"]) == 0
         k_half = json.loads(capsys.readouterr().out)["level_count"]
         assert cli.main(["nfspem", str(path)]) == 0
         k_one = json.loads(capsys.readouterr().out)["level_count"]
@@ -742,6 +751,34 @@ class TestParser:
     def test_help_exit0(self, capsys, argv):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: hypersense")
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "0.5", *EVALUATE, "-o", "{tmp}/x"],
+        ["--k", "0.5", *SIMULATE, "-o", "{tmp}/x"],
+        ["--k", "0.5", "nfspem", "{csv}", "-o", "{tmp}/x"],
+        ["--config", "{cfg}", *SIMULATE, "-o", "{tmp}/x"],
+        ["--config", "{cfg}", *EVALUATE, "-o", "{tmp}/x"],
+        ["--config", "{cfg}", "nfspem", "{csv}", "-o", "{tmp}/x"],
+        ["--fft-size", "512", "identify", "{rec}", "--plan", "{plan}", "-o", "{tmp}/x"],
+        ["identify", "{rec}", "--plan", "{plan}", "--k", "0.5", "-o", "{tmp}/x"],
+        ["nfspem", "{csv}", "--fft-size", "8", "-o", "{tmp}/x"],
+    ], ids=["k_evaluate", "k_simulate", "k_nfspem", "config_simulate", "config_evaluate",
+            "config_nfspem", "fft_size_identify", "identify_k", "nfspem_fft_size"])
+    def test_option_the_command_does_not_read_exit2(self, tmp_path, capsys, scenario_file,
+                                                     recording_file, plan_file, argv):
+        (tmp_path / "cfg.json").write_text("{}")
+        (tmp_path / "vals.csv").write_text("1.0\n2.0\n9.0\n1.5\n")
+        before = sorted(tmp_path.rglob("*"))
+        paths = {"tmp": tmp_path, "scn": scenario_file, "rec": recording_file, "plan": plan_file,
+                 "cfg": tmp_path / "cfg.json", "csv": tmp_path / "vals.csv"}
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("usage: hypersense")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_plan_defaults_to_the_shipped_ism_plan(self):
+        plan = cli.build_parser().parse_args(["identify", "rec.cf32"]).plan
+        assert Path(plan) == Path(str(resources.files("hypersense.data") / "ism24_plan.json"))
+        assert classify.load_plan(plan).name
 
     def test_readme_flags_exist(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

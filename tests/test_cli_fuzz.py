@@ -58,6 +58,7 @@ value_column = st.lists(st.floats(-1e3, 1e3).map(repr), min_size=2, max_size=300
 
 
 def _run(argv, out):
+    cli.build_parser().parse_args(argv)  # a usage error would exit 2 without running the command
     code = cli.main(argv)
     hypothesis.event(f"exit {code}")
     assert code in EXIT_CODES
@@ -125,7 +126,7 @@ def test_identify_any_pipeline_config(config, shape):
             write_iq(IqRecording(SHAPES[shape](20_000, np.random.default_rng(3)), 2e6, 2.44e9), rec)
         cfg.write_text(json.dumps(config))
         plan.write_text(json.dumps(PSK_PLAN))
-        _run(["--config", str(cfg), "identify", str(rec), "--plan", str(plan), "-o", str(out)], out)
+        _run(["identify", str(rec), "--config", str(cfg), "--plan", str(plan), "-o", str(out)], out)
         if out.exists():
             _strict(out)
 
@@ -167,6 +168,6 @@ def test_nfspem_any_csv(content, k):
     with tempfile.TemporaryDirectory() as tmp:
         values, out = Path(tmp) / "values.csv", Path(tmp) / "floor.json"
         values.write_bytes(content)
-        _run(["--k", repr(k), "nfspem", str(values), "-o", str(out)], out)
+        _run(["nfspem", str(values), "--k", repr(k), "-o", str(out)], out)
         if out.exists():
             _strict(out)

@@ -62,6 +62,8 @@ class TestFromJson:
          "doc: extra is missing field 'rate'"),
         ({"name": "a", "span": [1, 2], "flag": 1}, "doc: flag must be a bool, got 1"),
         ({"name": "a", "span": [1, 2], "meta": [1]}, "doc: meta must be an object, got [1]"),
+        ({"name": "a", "span": [1, 2], "meta": {"k": [float("inf")]}},
+         "doc: meta must hold only finite numbers, got {'k': [inf]}"),
     ])
     def test_rejects_with_the_path(self, data, message):
         with pytest.raises(ParameterError) as info:

@@ -79,7 +79,7 @@ NAMED_METHODS = {"fh-burst-1msym": "Cyclostationary Feature Detection",
 # the detector's settings on every axis, each off its default and apart
 DETECTOR = {"floor_k": 0.8, "peak_k": 0.6, "floor_min_width_bins": 2,
             "floor_merge_gap_bins": 3, "envelope_smooth_len": 96}
-NFSPEM_DETECTOR = ("--k", "0.5", "nfspem", "--min-width", "1", "--merge-gap", "0")
+NFSPEM_DETECTOR = ("nfspem", "--k", "0.5", "--min-width", "1", "--merge-gap", "0")
 EVALUATE = ["--seed", "5", "evaluate", "--snr-list=-4,10", "--occ-list", "0,0.6",
             "--trials", "8", "--resamples", "200"]
 
@@ -106,7 +106,7 @@ def run_case(scenario: Path, plan: Path, seed: int | None, work: Path) -> None:
 def analyse(plan: Path, work: Path, config_args: tuple[str, ...] = (),
             nfspem_args: tuple[str, ...] = ("nfspem",)) -> None:
     """Identify ``work/rec.cf32`` with every emit file, then run ``nfspem`` on its spectrum."""
-    _main([*config_args, "identify", str(work / "rec.cf32"), "--plan", str(plan),
+    _main(["identify", *config_args, str(work / "rec.cf32"), "--plan", str(plan),
            "-o", str(work / "report.json"), "--emit-psd", str(work / "psd.csv"),
            "--emit-cyclic", str(work / "cyclic.csv"),
            "--emit-envelope", str(work / "envelope.csv")])

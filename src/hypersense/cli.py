@@ -107,7 +107,7 @@ def _verdict_cyclic_profile(report: pipeline.IdentificationReport):
     """The scan behind the first cyclic verdict: the widened one if rescanned."""
     for result in report.results:
         scans = [
-            ev.extras["profile"]
+            ev.profile
             for ev in (result.verdict.evidence if result.verdict else [])
             if ev.method == sensing.METHOD_CYCLO
         ]

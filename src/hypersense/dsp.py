@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 from scipy.special import i0
 
-from .errors import EmptyInputError, InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .noisefloor import DetectedComponent
 
@@ -339,7 +339,7 @@ def power_envelope(
     """
     x = np.asarray(iq.samples)
     if x.size == 0:
-        raise EmptyInputError("empty recording")
+        raise InsufficientDataError("empty recording")
     if smooth_len < 1:
         raise ParameterError(f"smooth_len must be >= 1, got {smooth_len}")
     p = np.abs(x) ** 2

@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """An argument is outside its documented domain."""
 
 
-class EmptyInputError(ValueError):
-    """An operation received zero samples."""
-
-
 class InsufficientDataError(ValueError):
     """Not enough samples for the operation to be meaningful."""
 

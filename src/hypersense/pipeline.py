@@ -3,11 +3,12 @@
 Stages: Welch spectrum, beside the one recording FFT that every channel
 shares (padded to a multiple of the config's largest decimation) ->
 noise-floor detection -> per-component plan matching -> channelization ->
-optional burst detection -> selected sensing method -> verdict.  The front
-end's two transforms, then the components, run independently and at once on
-the one pool of ``dsp.map_on_cores`` that also runs scan lags and trials; a
-failing component records its error and leaves the others untouched.  Reports
-are deterministic for identical inputs, whatever the core count.
+burst detection where the candidate has a ``burst_header`` -> selected
+sensing method -> verdict.  The front end's two transforms, then the
+components, run independently and at once on the one pool of
+``dsp.map_on_cores`` that also runs scan lags and trials; a failing
+component records its error and leaves the others untouched.  Reports are
+deterministic for identical inputs, whatever the core count.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from .iqio import IqRecording
 from .noisefloor import DetectedComponent, NoiseFloorEstimate, detect
 from .schema import dump_json, from_json
 
+# the last lag of the cyclic scan, whose every lag costs one FFT the length of
+# the channel (the shipped candidates ask for at most 17), and of the lag
+# search for a cyclic prefix unless the candidate's cp_feature reaches further
+MAX_LAG = 256
+
+
 @dataclass
 class PipelineConfig:
     fft_size: int = 1024
@@ -35,12 +42,8 @@ class PipelineConfig:
     floor_merge_gap_bins: int = 2
     guard_factor: float = 1.25
     stop_atten_db: float = 60.0
-    burst_detection: str = "auto"  # auto | on | off
     envelope_smooth_len: int = 128
     cyclic_step_hz: float = 10e3
-    # upper cap only: the cyclic scan's last lag is the smallest of this,
-    # ceil(2 * channel rate / smallest cyclic line) and a quarter of the channel
-    tau_max: int = 256
     peak_k: float = 1.0
     energy_pfa: float = 0.05
 
@@ -66,11 +69,8 @@ class PipelineConfig:
             ("guard_factor", self.guard_factor > 0.0, "> 0"),
             # the Kaiser window formula has no design below 8 dB
             ("stop_atten_db", self.stop_atten_db >= 8.0, ">= 8"),
-            ("burst_detection", self.burst_detection in ("auto", "on", "off"),
-             "one of auto, on, off"),
             ("envelope_smooth_len", self.envelope_smooth_len >= 1, ">= 1"),
             ("cyclic_step_hz", self.cyclic_step_hz > 0.0, "> 0"),
-            ("tau_max", self.tau_max >= 0, ">= 0"),
             ("peak_k", 0.0 < self.peak_k <= 1.0, "in (0, 1]"),
             ("energy_pfa", 0.0 < self.energy_pfa < 0.5, "in (0, 0.5)"),
         )
@@ -201,7 +201,7 @@ def _cyclic_scan(
     # the cyclic autocorrelation at alpha is supported within about one
     # period, |tau| <~ fs/alpha (Gardner 1991); longer lags add only noise
     alpha_min = min(alpha for _, alpha, _ in candidate.cyclic_lines())
-    tau_hi = min(config.tau_max, math.ceil(2.0 * fs / alpha_min), n // 4)
+    tau_hi = min(MAX_LAG, math.ceil(2.0 * fs / alpha_min), n // 4)
     profile = sensing.scan_cyclic(channelized, grid, (0, tau_hi))
     return sensing.cyclic_evidence(profile, config.peak_k, windows)
 
@@ -220,7 +220,7 @@ def _cp_autocorr(
     lo = 1
     if passband_hz < fs:
         lo = max(1, int(np.ceil(2.5 * fs / passband_hz)))
-    hi = min(256, n // 4)
+    hi = min(MAX_LAG, n // 4)
     if candidate.cp_feature is not None:
         expected_u = candidate.cp_feature.useful_s * fs
         lo = min(lo, max(1, int(expected_u / 2)))
@@ -262,10 +262,7 @@ def _process_component(
 
         bursts: list[BurstRecord] = []
         burst_flags: list[str] = []
-        want_bursts = config.burst_detection == "on" or (
-            config.burst_detection == "auto" and top is not None and top.burst_header is not None
-        )
-        if want_bursts:
+        if top is not None and top.burst_header is not None:
             bursts, burst_flags = detect_bursts(channelized, config)
 
         method = classify.ssmsb_select(top) if top is not None else None
@@ -372,11 +369,7 @@ def _evidence_to_dict(ev: sensing.Evidence) -> dict:
             {"center": p.center, "width": p.width, "peak_db": p.peak_value_db}
             for p in ev.peaks
         ],
-        "extras": {
-            k: v
-            for k, v in ev.extras.items()
-            if isinstance(v, (int, float, str, bool))
-        },
+        "extras": dict(ev.extras),
     }
 
 

@@ -24,7 +24,6 @@ from . import dsp
 from .dsp import EPS_POWER, db10
 from .errors import (
     DegenerateSpectrumError,
-    EmptyInputError,
     InsufficientDataError,
     ParameterError,
     UnsupportedMethodError,
@@ -73,6 +72,7 @@ class Evidence:
     detected: bool
     flags: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    profile: CyclicProfile | None = None  # the scan a cyclic evidence came from
 
 
 @dataclass
@@ -118,7 +118,7 @@ def scan_cyclic(iq: IqRecording, alpha_grid: np.ndarray, tau_range: tuple[int, i
     """
     x = np.asarray(iq.samples)
     if x.size == 0:
-        raise EmptyInputError("empty recording")
+        raise InsufficientDataError("empty recording")
     alphas = np.asarray(alpha_grid, dtype=float)
     if alphas.size == 0:
         raise ParameterError("empty cyclic-frequency grid")
@@ -191,7 +191,7 @@ def cyclic_evidence(profile: CyclicProfile, k: float, windows: list[tuple[float,
     level structure and is skipped.  ``statistic`` and ``threshold`` are
     the highest peak and the local threshold of the window whose peak
     clears its threshold by the most; with no usable window both are the
-    profile maximum.  The scanned profile is kept in ``extras["profile"]``.
+    profile maximum.  The scanned profile is kept in ``profile``.
     """
     grid = profile.alpha_grid
     step = float(grid[1] - grid[0]) if grid.size > 1 else 1.0
@@ -231,7 +231,7 @@ def cyclic_evidence(profile: CyclicProfile, k: float, windows: list[tuple[float,
         threshold=best_thr,
         detected=bool(strong),
         flags=flags,
-        extras={"profile": profile},
+        profile=profile,
     )
 
 
@@ -277,7 +277,7 @@ def cp_autocorr_detect(iq: IqRecording, lag_range: tuple[int, int], k: float) ->
     """
     x = np.asarray(iq.samples)
     if x.size == 0:
-        raise EmptyInputError("empty recording")
+        raise InsufficientDataError("empty recording")
     lo, hi = int(lag_range[0]), int(lag_range[1])
     if lo < 1 or hi <= lo or hi >= x.size:
         raise ParameterError(f"bad lag range ({lo}, {hi})")

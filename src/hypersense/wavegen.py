@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import EmptyInputError, ParameterError
+from .errors import InsufficientDataError, ParameterError
 from .iqio import IqRecording
 from .schema import from_json, load_json
 
@@ -154,6 +154,8 @@ def _validate_channel(chan: ChannelSpec, fs: float, duration: float, noise_dbw: 
             raise ParameterError("fsk symbol rate must be in (0, fs/2]")
         if chan.header_len_symbols < 1:
             raise ParameterError("header_len_symbols must be >= 1")
+        if not chan.bursts:
+            raise ParameterError("fsk_header_burst needs at least one burst")
     if chan.kind == "dsss":
         if chan.chip_rate_hz <= 0 or chan.chip_rate_hz > fs / 2.0:
             raise ParameterError("chip rate must be in (0, fs/2]")
@@ -178,7 +180,7 @@ def _validate_channel(chan: ChannelSpec, fs: float, duration: float, noise_dbw: 
 def gen_awgn(n: int, power_dbw: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex white Gaussian noise at the given power."""
     if n < 1:
-        raise EmptyInputError("sample count must be >= 1")
+        raise InsufficientDataError("sample count must be >= 1")
     x = np.empty(n, dtype=np.complex128)
     x.real = rng.standard_normal(n)
     x.imag = rng.standard_normal(n)
@@ -336,30 +338,21 @@ def _band_bins(band: tuple[float, float], fs: float, n: int) -> list[slice]:
     return [run for run in runs if run.stop > run.start]
 
 
-def _rect_coefficients(
-    chan: ChannelSpec, fs: float, n: int, rng: np.random.Generator
-) -> tuple[list[slice], np.ndarray]:
-    """Frequency-domain coefficients of a flat channel: (bins, values).
+def _rect_coefficients(bins: list[slice], n: int, rng: np.random.Generator) -> np.ndarray:
+    """Frequency-domain coefficients of a flat channel on its band's ``bins``.
 
-    Independent Gaussian coefficients on the bins of the band around the
-    channel center, in the bins' array order, the same process as masking
-    white noise; unit mean power.
+    Independent Gaussian coefficients, in the bins' array order, the same
+    process as masking white noise; unit mean power.
     """
-    half = chan.bandwidth_hz / 2.0
-    lo, hi = chan.center_freq_hz - half, chan.center_freq_hz + half
-    bins = _band_bins((lo, hi), fs, n)
     m = sum(run.stop - run.start for run in bins)
-    if m == 0:
-        raise ParameterError(f"rect_noise band [{lo:g}, {hi:g}] holds no bin of the {n}-point DFT")
     coeff = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
     # unit mean power after the inverse transform (Parseval)
-    return bins, coeff * (n / np.sqrt(m))
+    return coeff * (n / np.sqrt(m))
 
 
-def _inband_power(x: np.ndarray, fs: float, band: tuple[float, float]) -> float:
+def _inband_power(x: np.ndarray, bins: list[slice]) -> float:
     spec = sfft.fft(x)
-    inband = [spec[run] for run in _band_bins(band, fs, x.size)]
-    return float(np.sum(np.abs(np.concatenate(inband or [spec[:0]])) ** 2) / x.size**2)
+    return float(np.sum(np.abs(np.concatenate([spec[run] for run in bins])) ** 2) / x.size**2)
 
 
 def compose_scenario(
@@ -369,7 +362,8 @@ def compose_scenario(
 
     Channel power is calibrated by projection: each waveform is scaled so
     its measured power inside the nominal band equals snr * (noise power
-    falling in that band).
+    falling in that band).  A channel whose band holds no bin of the
+    recording's DFT has no power to measure and raises ``ParameterError``.
     """
     spec.validate()
     if fft_size < 1:
@@ -399,11 +393,16 @@ def compose_scenario(
         rng = np.random.default_rng(streams[ci + 1])
         intervals: list[tuple[int, int]] = [(0, n)]
         band = nominal_band(chan, fs)
+        bins = _band_bins(band, fs, n)
+        if not bins:
+            raise ParameterError(
+                f"{chan.kind} band [{band[0]:g}, {band[1]:g}] holds no bin of the {n}-point DFT"
+            )
         noise_inband = noise_power * (band[1] - band[0]) / fs
         target = 10.0 ** (chan.snr_db / 10.0) * noise_inband
 
         if chan.kind == "rect_noise":
-            bins, coeff = _rect_coefficients(chan, fs, n, rng)
+            coeff = _rect_coefficients(bins, n, rng)
             measured = float(np.sum(np.abs(coeff) ** 2)) / n**2  # Parseval
             coeff *= np.sqrt(target / measured)
             for run in bins:
@@ -424,13 +423,9 @@ def compose_scenario(
                 for span in spans:
                     t = np.arange(span.start, span.stop) / fs
                     base[span] *= np.exp(2j * np.pi * chan.center_freq_hz * t)
-            measured = _inband_power(base, fs, band)
-            if measured > 0.0:
-                scale = np.sqrt(target / measured)
-                for span in spans:
-                    x[span] += base[span] * scale
-            else:
-                intervals = []
+            scale = np.sqrt(target / _inband_power(base, bins))
+            for span in spans:
+                x[span] += base[span] * scale
 
         mask |= (bin_centers >= band[0]) & (bin_centers < band[1])
         burst_intervals.append(intervals)

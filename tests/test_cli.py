@@ -306,7 +306,7 @@ class TestIdentify:
             ev.method == sensing.METHOD_CYCLO for ev in r.verdict.evidence))
         assert first.verdict.extras["rescanned"]
         scan = [ev for ev in first.verdict.evidence
-                if ev.method == sensing.METHOD_CYCLO][-1].extras["profile"]
+                if ev.method == sensing.METHOD_CYCLO][-1].profile
         exported = np.loadtxt(cyc_csv, delimiter=",", ndmin=2)
         assert np.array_equal(exported[:, 0], scan.alpha_grid)
         assert np.array_equal(exported[:, 1], scan.magnitude_db)
@@ -525,14 +525,17 @@ class TestBadConfig:
         {"fft_size": 0},
         {"floor_k": 2},
         {"overlap": 1.5},
-        {"tau_max": "256"},
+        {"envelope_smooth_len": "128"},
         {"cyclic_step_hz": 0},
         {"fft_size": "1024"},
         {"parallel": False},
         {"channelize_enabled": False},
+        {"burst_detection": "auto"},
+        {"tau_max": 256},
         [1],
-    ], ids=["fft_size_1000", "fft_size_0", "k_2", "overlap_1.5", "tau_max_str", "cyclic_step_0",
-            "fft_size_str", "removed_field", "channelize_enabled", "not_an_object"])
+    ], ids=["fft_size_1000", "fft_size_0", "k_2", "overlap_1.5", "envelope_smooth_len_str",
+            "cyclic_step_0", "fft_size_str", "removed_field", "channelize_enabled",
+            "burst_detection", "tau_max", "not_an_object"])
     def test_exit2_and_no_report(self, tmp_path, recording_file, plan_file, capsys, config):
         path, out = tmp_path / "cfg.json", tmp_path / "r.json"
         path.write_text(json.dumps(config))
@@ -582,6 +585,23 @@ class TestExitCodes:
         paths = {"tmp": tmp_path, "scn": scenario_file, "rec": recording_file, "plan": plan_file}
         assert cli.main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")  # not a usage error
+        assert sorted(tmp_path.rglob("*")) == before
+
+    # a channel that would render no power, which the truth file would still list
+    @pytest.mark.parametrize("channel, message", [
+        ({"kind": "fsk_header_burst", "center_freq_hz": 1e5, "snr_db": 20.0,
+          "symbol_rate_hz": 1e5}, "fsk_header_burst needs at least one burst"),
+        ({"kind": "psk_burst", "center_freq_hz": 50.0, "snr_db": 20.0, "symbol_rate_hz": 40.0},
+         "psk_burst band [30, 70] holds no bin of the 10000-point DFT"),
+    ], ids=["fsk_without_bursts", "band_without_bins"])
+    def test_simulate_channel_without_power_exit2_writes_nothing(self, tmp_path, capsys,
+                                                                  channel, message):
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps({"sample_rate_hz": 1e6, "duration_s": 0.01,
+                                        "noise_power_dbw": 0.0, "channels": [channel]}))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["simulate", str(scenario), "-o", str(tmp_path / "x.cf32")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
 

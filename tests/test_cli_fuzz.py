@@ -105,7 +105,6 @@ pipeline_configs = st.fixed_dictionaries({
     "floor_min_width_bins": st.integers(1, 16) | st.integers(1, 2**53),
     "guard_factor": st.floats(-12.0, 1.0).map(lambda e: 10.0**e),
     "cyclic_step_hz": st.floats(1e3, 5e4) | st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
-    "tau_max": st.integers(0, 512) | st.integers(0, 2**64),
     "floor_k": tiny_to_one,
     "peak_k": tiny_to_one,
 })

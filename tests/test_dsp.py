@@ -16,7 +16,7 @@ import pytest
 from scipy import signal as sig
 
 from hypersense import dsp
-from hypersense.errors import EmptyInputError, InsufficientDataError, ParameterError
+from hypersense.errors import InsufficientDataError, ParameterError
 from hypersense.iqio import IqRecording
 from hypersense.noisefloor import DetectedComponent
 
@@ -455,7 +455,7 @@ class TestPowerEnvelope:
         assert np.allclose(env, 10 * np.log10(np.abs(x) ** 2))
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError):
             dsp.power_envelope(rec(np.array([])))
 
     def test_locality(self):

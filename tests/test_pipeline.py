@@ -253,7 +253,7 @@ class TestDetectBursts:
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = pipeline.PipelineConfig(fft_size=512, floor_k=0.8, burst_detection="on")
+        cfg = pipeline.PipelineConfig(fft_size=512, floor_k=0.8, envelope_smooth_len=64)
         back = pipeline.PipelineConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
@@ -262,17 +262,12 @@ class TestConfig:
         with pytest.raises(ParameterError):
             pipeline.PipelineConfig.from_dict({"no_such_field": 1})
 
-    def test_bad_burst_mode_rejected(self):
-        from hypersense.errors import ParameterError
-        with pytest.raises(ParameterError):
-            pipeline.PipelineConfig.from_dict({"burst_detection": "sometimes"})
-
     @pytest.mark.parametrize("field, value", [
         ("fft_size", True), ("fft_size", 512.0), ("window", "kaiser"), ("overlap", float("nan")),
         ("floor_k", 0.0), ("floor_min_width_bins", 0), ("floor_merge_gap_bins", -1),
         ("guard_factor", 0.0), ("stop_atten_db", 5.0),
         ("envelope_smooth_len", 0), ("cyclic_step_hz", -1e3),
-        ("tau_max", -1), ("peak_k", 1.5), ("energy_pfa", 0.5),
+        ("peak_k", 1.5), ("energy_pfa", 0.5),
     ])
     def test_bad_field_rejected(self, field, value):
         from hypersense.errors import ParameterError
@@ -305,31 +300,17 @@ class TestBurstGating:
     def _main_result(self, report):
         return max(report.results, key=lambda r: r.component.width)
 
-    def test_off_never_runs(self):
-        rec = self._scenario()
-        cfg = pipeline.PipelineConfig(burst_detection="off")
-        report = pipeline.run_identification(rec, cfg, self._plan({"period_hz": 1e6}))
-        r = self._main_result(report)
-        assert r.bursts == [] and r.burst_flags == []
-
     # the header's contents are not read: an empty one runs burst detection too
     @pytest.mark.parametrize("header", [{"period_hz": 1e6}, {}], ids=["period", "empty"])
     def test_auto_runs_only_with_burst_header(self, header):
         rec = self._scenario()
-        cfg = pipeline.PipelineConfig(burst_detection="auto")
+        cfg = pipeline.PipelineConfig()
         with_header = pipeline.run_identification(rec, cfg, self._plan(header))
         without = pipeline.run_identification(rec, cfg, self._plan(None))
         r_with = self._main_result(with_header)
         r_without = self._main_result(without)
         assert r_with.bursts or r_with.burst_flags  # attempted
         assert r_without.bursts == [] and r_without.burst_flags == []
-
-    def test_on_always_runs(self):
-        rec = self._scenario()
-        cfg = pipeline.PipelineConfig(burst_detection="on")
-        report = pipeline.run_identification(rec, cfg, self._plan(None))
-        r = self._main_result(report)
-        assert r.bursts or r.burst_flags
 
 
 @pytest.fixture(scope="module")
@@ -427,11 +408,12 @@ class TestCyclicGrid:
         assert fsk.verdict.extras["rescanned"]
         assert not first.detected and widened.detected
 
-    def test_step_below_scan_resolution_rejected(self, shipped):
+    def test_step_below_scan_resolution_rejected(self, shipped, monkeypatch):
         # PCS: one 196,608-sample channel at 9.8304 MS/s, 50 Hz resolution
         rec, plan = shipped["pcs"]
+        monkeypatch.setattr(pipeline, "MAX_LAG", 2)  # a short scan: only the step is tested
         def error(step):
-            config = pipeline.PipelineConfig(cyclic_step_hz=step, tau_max=2)
+            config = pipeline.PipelineConfig(cyclic_step_hz=step)
             (result,) = pipeline.run_identification(rec, config, plan).results
             return result.error
 
@@ -440,7 +422,7 @@ class TestCyclicGrid:
 
 
 class TestCyclicLagRange:
-    """The scan's last lag is ceil(2 fs_c / alpha_min), capped by tau_max."""
+    """The scan's last lag is ceil(2 fs_c / alpha_min), capped by ``pipeline.MAX_LAG``."""
 
     def _tau_ranges(self, shipped, name, config=None):
         rec, plan = shipped[name]
@@ -453,7 +435,7 @@ class TestCyclicLagRange:
             for ev in r.verdict.evidence:
                 if ev.method == sensing.METHOD_CYCLO:
                     label = r.verdict.candidates_ranked[0]
-                    ranges.setdefault(label, set()).add(ev.extras["profile"].tau_range)
+                    ranges.setdefault(label, set()).add(ev.profile.tau_range)
         return ranges
 
     def test_shipped_scenarios(self, shipped):
@@ -464,8 +446,9 @@ class TestCyclicLagRange:
         }
         assert self._tau_ranges(shipped, "pcs") == {"cdma2000-like": {(0, 16)}}
 
-    def test_tau_max_caps_the_range(self, shipped):
-        assert self._tau_ranges(shipped, "ism", {"tau_max": 4}) == {
+    def test_max_lag_caps_the_range(self, shipped, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_LAG", 4)
+        assert self._tau_ranges(shipped, "ism") == {
             "fh-burst-1msym": {(0, 4)}, "dsss-1p2288": {(0, 4)},
         }
 

@@ -12,7 +12,6 @@ from hypersense import dsp, pipeline, sensing
 from hypersense import wavegen as wg
 from hypersense.dsp import db10
 from hypersense.errors import (
-    EmptyInputError,
     InsufficientDataError,
     ParameterError,
     UnsupportedMethodError,
@@ -44,7 +43,7 @@ def cyclic_autocorrelation(
     """
     x = np.asarray(iq.samples)
     if x.size == 0:
-        raise EmptyInputError("empty recording")
+        raise InsufficientDataError("empty recording")
     fs = iq.sample_rate_hz
     if abs(alpha_hz) >= fs / 2.0:
         raise ParameterError(f"|alpha| must be below fs/2 = {fs/2:g} Hz")
@@ -216,7 +215,7 @@ class TestScanCyclicMatchesPerLagLoop:
     FS = 1e6
     # from 0 up to just below fs/2, so the last cell is clipped at the top bin
     GRID = np.append(np.arange(0.0, 495e3, 3e3), FS / 2.0 - 1.0)
-    # None: every lag up to the pipeline's cap, tau_max or a quarter of the recording
+    # None: every lag up to the pipeline's cap, MAX_LAG or a quarter of the recording
     TAU_RANGES = [(0, 0), (3, 3), (5, 40), None]
 
     def _bpsk(self, n, seed):
@@ -226,7 +225,7 @@ class TestScanCyclicMatchesPerLagLoop:
 
     @staticmethod
     def _longest(iq):
-        return (0, min(pipeline.PipelineConfig().tau_max, len(iq.samples) // 4))
+        return (0, min(pipeline.MAX_LAG, len(iq.samples) // 4))
 
     @pytest.mark.parametrize("tau_range", TAU_RANGES)
     def test_bitwise_at_40000_samples(self, cores, tau_range):
@@ -279,7 +278,7 @@ class TestCyclicEvidence:
         ev = sensing.cyclic_evidence(profile, PEAK_K, [(0.0, 19e3), (20e3, 59e3)])
         assert ev.detected
         assert [(pk.start_index, pk.peak_position) for pk in ev.peaks] == [(45, 45e3)]
-        assert ev.extras["profile"] is profile
+        assert ev.profile is profile
 
     def test_statistic_is_the_best_window_margin(self):
         rng = np.random.default_rng(6)

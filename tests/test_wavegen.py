@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hypersense import wavegen as wg
-from hypersense.errors import EmptyInputError, ParameterError
+from hypersense.errors import InsufficientDataError, ParameterError
 
 
 def brute_autocorr(x, lag):
@@ -29,7 +29,7 @@ class TestGenAwgn:
         assert x.shape == (1,)
 
     def test_empty_error(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError):
             wg.gen_awgn(0, 0.0, np.random.default_rng(0))
 
     def test_seed_determinism(self):
